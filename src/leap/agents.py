@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .backend import ChatMessage, ChatRequest, ChatProvider, Embedder
@@ -72,7 +72,6 @@ class Decoding:
 class ValueEstimate:
     """The critic's estimate of a state's expected outcome, clamped to [-1, 1]."""
 
-    state_ref: str
     value: float
 
 
@@ -317,10 +316,9 @@ def _complete_parsed(
     decoding: Decoding,
 ):
     """One completion, one optional reprompt, then an agent-format error."""
-    messages: list[ChatMessage] = [ChatMessage("user", prompt)]
     request = ChatRequest(
         system_prompt="",
-        messages=tuple(messages),
+        messages=(ChatMessage("user", prompt),),
         temperature=decoding.temperature,
         top_p=decoding.top_p,
         max_tokens=decoding.max_tokens,
@@ -330,13 +328,9 @@ def _complete_parsed(
         return parse(reply)
     except ReactParseError:
         pass
-    messages.extend([ChatMessage("assistant", reply), ChatMessage("user", reminder)])
-    retry = ChatRequest(
-        system_prompt="",
-        messages=tuple(messages),
-        temperature=decoding.temperature,
-        top_p=decoding.top_p,
-        max_tokens=decoding.max_tokens,
+    retry = replace(
+        request,
+        messages=(*request.messages, ChatMessage("assistant", reply), ChatMessage("user", reminder)),
     )
     reply = chat.complete(retry)
     try:
@@ -443,15 +437,14 @@ class Critic:
     def estimate_value(
         self, state: StateView, value_samples: Sequence[ValueSample], decoding: Decoding
     ) -> ValueEstimate:
-        summary = format_state(state.claim, state.steps)
         prompt = self.template.render(
-            state=summary, examples=format_value_examples(value_samples)
+            state=format_state(state.claim, state.steps),
+            examples=format_value_examples(value_samples),
         )
         raw = _complete_parsed(
             self.chat, prompt, _parse_value_text, "critic", _CRITIC_REMINDER, decoding
         )
-        value = min(1.0, max(-1.0, raw))
-        return ValueEstimate(state_ref=record_id("state", summary), value=value)
+        return ValueEstimate(value=min(1.0, max(-1.0, raw)))
 
     def preemptive_score(
         self,

@@ -10,7 +10,6 @@ feature-hashing embedder with reproducible geometry.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 import time
@@ -20,7 +19,14 @@ from typing import Any, Iterable, Protocol
 
 import requests
 
-from .core import canonical_json, read_record_lines
+from .core import (
+    _check_keys,
+    _field_opt_str,
+    _field_str,
+    _loads_line,
+    canonical_json,
+    read_record_lines,
+)
 from .errors import (
     ProviderError,
     RetryExhaustedError,
@@ -156,19 +162,17 @@ class ScriptEntry:
 
     @classmethod
     def from_dict(cls, obj: Any, *, line: int | None = None) -> "ScriptEntry":
-        if not isinstance(obj, dict):
-            raise SchemaError("script entry must be an object", line=line)
-        unknown = set(obj) - {"reply", "key", "claim_key"}
-        if unknown:
-            raise SchemaError(f"unknown script fields: {sorted(unknown)}", line=line)
-        if "reply" not in obj or not isinstance(obj["reply"], str):
-            raise SchemaError("script entry needs a string reply", line=line, field="reply")
-        return cls(reply=obj["reply"], key=obj.get("key"), claim_key=obj.get("claim_key"))
+        _check_keys(obj, {"reply"}, {"key", "claim_key"}, "", line)
+        return cls(
+            reply=_field_str(obj, "reply", "", line),
+            key=_field_opt_str(obj, "key", "", line),
+            claim_key=_field_opt_str(obj, "claim_key", "", line),
+        )
 
 
 def load_script(path: str | Path) -> list[ScriptEntry]:
     return read_record_lines(
-        path, lambda text, i: ScriptEntry.from_dict(json.loads(text), line=i)
+        path, lambda text, i: ScriptEntry.from_dict(_loads_line(text, i), line=i)
     )
 
 
@@ -228,14 +232,6 @@ class ScriptedProvider:
                 continue
             return i
         return None
-
-    def remaining(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for i, entry in enumerate(self._entries)
-                if entry.key is None and not self._consumed[i]
-            )
 
 
 class HashingEmbedder:

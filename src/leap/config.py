@@ -1,18 +1,20 @@
 """Configuration file loading and validation.
 
 One JSON file with six sections: backend, decoding, learning, correction,
-tools, and paths. Every key has a documented default, unknown keys are
-rejected, and numeric ranges are checked at load time. The effective config
-(defaults filled in) round-trips: dumping and reloading it is the identity.
+tools, and paths. Each section is a frozen dataclass, and loading is derived
+from it: the fields name the accepted keys and their defaults, the field
+annotations give the value types, and each dataclass checks its own ranges.
+Unknown keys are rejected. The effective config (defaults filled in)
+round-trips: dumping and reloading it is the identity.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .core import canonical_json
 from .errors import ConfigError, SchemaError
@@ -41,6 +43,10 @@ class BackendConfig:
     embed_model: str = "local-embed"
     embed_dim: int = 64
 
+    def __post_init__(self) -> None:
+        if self.embed_dim < 1:
+            raise SchemaError("embed_dim must be at least 1")
+
 
 @dataclass(frozen=True)
 class DecodingConfig:
@@ -50,6 +56,15 @@ class DecodingConfig:
     top_p_learn: float = 1.0
     temperature_eval: float = 0.0
     max_tokens: int = 1024
+
+    def __post_init__(self) -> None:
+        for name in ("temperature_learn", "temperature_eval"):
+            if not 0.0 <= getattr(self, name) <= 2.0:
+                raise SchemaError(f"{name} must be in [0, 2]")
+        if not 0.0 < self.top_p_learn <= 1.0:
+            raise SchemaError("top_p_learn must be in (0, 1]")
+        if self.max_tokens < 1:
+            raise SchemaError("max_tokens must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -67,12 +82,29 @@ class ToolsConfig:
     code_timeout_ms: int = 5000
     code_parallelism: int = 1
 
+    def __post_init__(self) -> None:
+        provider = self.search_provider
+        if provider is not None:
+            kind = provider.get("kind")
+            if kind not in ("fixture", "http"):
+                raise SchemaError('search_provider needs "kind": "fixture" or "http"')
+            location = "path" if kind == "fixture" else "url"
+            if not isinstance(provider.get(location), str):
+                raise SchemaError(f"search_provider ({kind}) needs a string {location}")
+        if not -1.0 <= self.match_threshold <= 1.0:
+            raise SchemaError("match_threshold must be in [-1, 1]")
+        if self.match_mode not in ("embedding", "llm"):
+            raise SchemaError('match_mode must be "embedding" or "llm"')
+        for name in ("search_k", "code_timeout_ms", "code_parallelism"):
+            if getattr(self, name) < 1:
+                raise SchemaError(f"{name} must be at least 1")
+
 
 @dataclass(frozen=True)
 class PathsConfig:
     prompts_dir: str | None = None
     memory_dir: str = "memory"
-    out_dir: str = "out"
+    out_dir: str = "out"  # accepted but not read: every command takes --out
 
 
 @dataclass(frozen=True)
@@ -96,9 +128,6 @@ def default_config() -> Config:
     )
 
 
-_SECTIONS = ("backend", "decoding", "learning", "correction", "tools", "paths")
-
-
 def load_config(path: str | Path) -> Config:
     path = Path(path)
     try:
@@ -110,229 +139,67 @@ def load_config(path: str | Path) -> Config:
     return config_from_dict(raw)
 
 
+# Field names that differ from their config keys.
+_KEY_OF_FIELD = {"lam": "lambda"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
 def config_from_dict(raw: Any) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_SECTIONS)
+    sections = get_type_hints(Config)
+    unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     try:
         return Config(
-            backend=_backend(_section(raw, "backend")),
-            decoding=_decoding(_section(raw, "decoding")),
-            learning=_learning(_section(raw, "learning")),
-            correction=_correction(_section(raw, "correction")),
-            tools=_tools(_section(raw, "tools")),
-            paths=_paths(_section(raw, "paths")),
+            **{name: _load_section(cls, name, raw.get(name, {})) for name, cls in sections.items()}
         )
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
+def _load_section(cls: type, name: str, obj: Any) -> Any:
+    """Build one section from its dataclass: known keys only, typed by annotation."""
+    if not isinstance(obj, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    return value
-
-
-def _check_section_keys(obj: dict, name: str, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
+    hints = get_type_hints(cls)
+    field_of_key = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(obj) - set(field_of_key)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-
-
-def _str(obj: dict, name: str, key: str, default: str) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{name}.{key} must be a string")
-    return value
-
-
-def _int(obj: dict, name: str, key: str, default: int, minimum: int | None = None) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}.{key} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name}.{key} must be >= {minimum}")
-    return value
-
-
-def _float(
-    obj: dict,
-    name: str,
-    key: str,
-    default: float,
-    low: float | None = None,
-    high: float | None = None,
-) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number")
-    value = float(value)
-    if low is not None and value < low:
-        raise ConfigError(f"{name}.{key} must be >= {low}")
-    if high is not None and value > high:
-        raise ConfigError(f"{name}.{key} must be <= {high}")
-    return value
-
-
-def _backend(obj: dict) -> BackendConfig:
-    _check_section_keys(obj, "backend", {"base_url", "model", "api_key_env", "embed_model", "embed_dim"})
-    d = BackendConfig()
-    return BackendConfig(
-        base_url=_str(obj, "backend", "base_url", d.base_url),
-        model=_str(obj, "backend", "model", d.model),
-        api_key_env=_str(obj, "backend", "api_key_env", d.api_key_env),
-        embed_model=_str(obj, "backend", "embed_model", d.embed_model),
-        embed_dim=_int(obj, "backend", "embed_dim", d.embed_dim, minimum=1),
+    return cls(
+        **{
+            field_of_key[key]: _typed(value, hints[field_of_key[key]], f"{name}.{key}")
+            for key, value in obj.items()
+        }
     )
 
 
-def _decoding(obj: dict) -> DecodingConfig:
-    _check_section_keys(
-        obj, "decoding", {"temperature_learn", "top_p_learn", "temperature_eval", "max_tokens"}
-    )
-    d = DecodingConfig()
-    top_p = _float(obj, "decoding", "top_p_learn", d.top_p_learn, high=1.0)
-    if top_p <= 0.0:
-        raise ConfigError("decoding.top_p_learn must be in (0, 1]")
-    return DecodingConfig(
-        temperature_learn=_float(obj, "decoding", "temperature_learn", d.temperature_learn, 0.0, 2.0),
-        top_p_learn=top_p,
-        temperature_eval=_float(obj, "decoding", "temperature_eval", d.temperature_eval, 0.0, 2.0),
-        max_tokens=_int(obj, "decoding", "max_tokens", d.max_tokens, minimum=1),
-    )
+def _typed(value: Any, hint: Any, key: str) -> Any:
+    """Check a config value against its field annotation; a bool is never a number."""
+    nullable = type(None) in get_args(hint)
+    if nullable:
+        if value is None:
+            return None
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise SchemaError(f"{key} must be a list of strings")
+        return tuple(value)
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{key} must be {_TYPE_NAMES[hint]}" + (" or null" if nullable else ""))
+    return float(value) if hint is float else value
 
 
-def _learning(obj: dict) -> LearningConfig:
-    allowed = {
-        "gamma",
-        "lambda",
-        "k_reflections",
-        "k_precedents_pos",
-        "k_precedents_neg",
-        "max_steps",
-        "memory_cap",
-        "seed",
-        "concurrency",
-    }
-    _check_section_keys(obj, "learning", allowed)
-    d = LearningConfig()
-    cap = obj.get("memory_cap", d.memory_cap)
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
-        raise ConfigError("learning.memory_cap must be a positive integer or null")
-    return LearningConfig(
-        gamma=_float(obj, "learning", "gamma", d.gamma, 0.0, 1.0),
-        lam=_float(obj, "learning", "lambda", d.lam, low=0.0),
-        k_reflections=_int(obj, "learning", "k_reflections", d.k_reflections, minimum=1),
-        k_precedents_pos=_int(obj, "learning", "k_precedents_pos", d.k_precedents_pos, minimum=1),
-        k_precedents_neg=_int(obj, "learning", "k_precedents_neg", d.k_precedents_neg, minimum=1),
-        max_steps=_int(obj, "learning", "max_steps", d.max_steps, minimum=1),
-        memory_cap=cap,
-        seed=_int(obj, "learning", "seed", d.seed),
-        concurrency=_int(obj, "learning", "concurrency", d.concurrency, minimum=1),
-    )
-
-
-def _correction(obj: dict) -> CorrectionConfig:
-    _check_section_keys(obj, "correction", {"theta_corr"})
-    return CorrectionConfig(theta_corr=_float(obj, "correction", "theta_corr", 0.0))
-
-
-def _tools(obj: dict) -> ToolsConfig:
-    allowed = {
-        "search_provider",
-        "search_k",
-        "match_threshold",
-        "match_mode",
-        "code_executor",
-        "code_timeout_ms",
-        "code_parallelism",
-    }
-    _check_section_keys(obj, "tools", allowed)
-    d = ToolsConfig()
-    provider = obj.get("search_provider", d.search_provider)
-    if provider is not None:
-        if not isinstance(provider, dict) or provider.get("kind") not in ("fixture", "http"):
-            raise ConfigError('tools.search_provider needs "kind": "fixture" or "http"')
-        if provider["kind"] == "fixture" and not isinstance(provider.get("path"), str):
-            raise ConfigError("tools.search_provider (fixture) needs a string path")
-        if provider["kind"] == "http" and not isinstance(provider.get("url"), str):
-            raise ConfigError("tools.search_provider (http) needs a string url")
-    executor = obj.get("code_executor", list(d.code_executor))
-    if not isinstance(executor, (list, tuple)) or not all(isinstance(e, str) for e in executor):
-        raise ConfigError("tools.code_executor must be a list of strings")
-    mode = _str(obj, "tools", "match_mode", d.match_mode)
-    if mode not in ("embedding", "llm"):
-        raise ConfigError('tools.match_mode must be "embedding" or "llm"')
-    return ToolsConfig(
-        search_provider=provider,
-        search_k=_int(obj, "tools", "search_k", d.search_k, minimum=1),
-        match_threshold=_float(obj, "tools", "match_threshold", d.match_threshold, -1.0, 1.0),
-        match_mode=mode,
-        code_executor=tuple(executor),
-        code_timeout_ms=_int(obj, "tools", "code_timeout_ms", d.code_timeout_ms, minimum=1),
-        code_parallelism=_int(obj, "tools", "code_parallelism", d.code_parallelism, minimum=1),
-    )
-
-
-def _paths(obj: dict) -> PathsConfig:
-    _check_section_keys(obj, "paths", {"prompts_dir", "memory_dir", "out_dir"})
-    d = PathsConfig()
-    prompts_dir = obj.get("prompts_dir", d.prompts_dir)
-    if prompts_dir is not None and not isinstance(prompts_dir, str):
-        raise ConfigError("paths.prompts_dir must be a string or null")
-    return PathsConfig(
-        prompts_dir=prompts_dir,
-        memory_dir=_str(obj, "paths", "memory_dir", d.memory_dir),
-        out_dir=_str(obj, "paths", "out_dir", d.out_dir),
-    )
+def _wire_dict(items: list[tuple[str, Any]]) -> dict[str, Any]:
+    return {_KEY_OF_FIELD.get(k, k): list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def effective_dict(config: Config) -> dict[str, Any]:
     """The full configuration with every default filled in."""
-    return {
-        "backend": {
-            "base_url": config.backend.base_url,
-            "model": config.backend.model,
-            "api_key_env": config.backend.api_key_env,
-            "embed_model": config.backend.embed_model,
-            "embed_dim": config.backend.embed_dim,
-        },
-        "decoding": {
-            "temperature_learn": config.decoding.temperature_learn,
-            "top_p_learn": config.decoding.top_p_learn,
-            "temperature_eval": config.decoding.temperature_eval,
-            "max_tokens": config.decoding.max_tokens,
-        },
-        "learning": {
-            "gamma": config.learning.gamma,
-            "lambda": config.learning.lam,
-            "k_reflections": config.learning.k_reflections,
-            "k_precedents_pos": config.learning.k_precedents_pos,
-            "k_precedents_neg": config.learning.k_precedents_neg,
-            "max_steps": config.learning.max_steps,
-            "memory_cap": config.learning.memory_cap,
-            "seed": config.learning.seed,
-            "concurrency": config.learning.concurrency,
-        },
-        "correction": {"theta_corr": config.correction.theta_corr},
-        "tools": {
-            "search_provider": config.tools.search_provider,
-            "search_k": config.tools.search_k,
-            "match_threshold": config.tools.match_threshold,
-            "match_mode": config.tools.match_mode,
-            "code_executor": list(config.tools.code_executor),
-            "code_timeout_ms": config.tools.code_timeout_ms,
-            "code_parallelism": config.tools.code_parallelism,
-        },
-        "paths": {
-            "prompts_dir": config.paths.prompts_dir,
-            "memory_dir": config.paths.memory_dir,
-            "out_dir": config.paths.out_dir,
-        },
-    }
+    return asdict(config, dict_factory=_wire_dict)
 
 
 def dump_config(config: Config, path: str | Path) -> None:

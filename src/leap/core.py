@@ -42,7 +42,6 @@ __all__ = [
     "canonical_json",
     "serialize",
     "deserialize_claim",
-    "deserialize_strategy",
     "deserialize_trajectory",
     "load_claims",
     "write_claims",
@@ -342,7 +341,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.advantage is not None:
-            n = sum(1 for s in self.steps if s.action.tool is not Tool.GET_ANSWER)
+            n = count_tool_calls(self)
             if self.advantage.n_tools != n:
                 raise SchemaError(
                     f"advantage report counts {self.advantage.n_tools} tool calls, steps contain {n}",
@@ -523,10 +522,6 @@ def deserialize_claim(line: str, *, line_no: int | None = None) -> Claim:
     return Claim.from_dict(_loads_line(line, line_no), line=line_no)
 
 
-def deserialize_strategy(line: str, *, line_no: int | None = None) -> VerificationStrategy:
-    return VerificationStrategy.from_dict(_loads_line(line, line_no), line=line_no)
-
-
 def deserialize_trajectory(line: str, *, line_no: int | None = None) -> Trajectory:
     return Trajectory.from_dict(_loads_line(line, line_no), line=line_no)
 
@@ -591,14 +586,15 @@ def _join(path: str, key: str) -> str:
 
 
 def _check_keys(
-    obj: Any, required: set[str], optional: set[str], path: str, line: int | None
+    obj: Any, required: set[str], optional: set[str] | None, path: str, line: int | None
 ) -> None:
+    """Require an object holding the required keys; optional=None allows any other key."""
     if not isinstance(obj, dict):
         raise SchemaError(
             f"expected an object, got {type(obj).__name__}", line=line, field=path or None
         )
     for key in obj:
-        if key not in required and key not in optional:
+        if optional is not None and key not in required and key not in optional:
             raise SchemaError("unknown field", line=line, field=_join(path, key))
     for key in sorted(required):
         if key not in obj:

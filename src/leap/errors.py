@@ -87,7 +87,3 @@ class DatasetFormatError(LeapError):
 
 class CurationError(LeapError):
     """Trajectory cannot be curated into a training record."""
-
-
-class DetectionError(LeapError):
-    """Detection could not produce a verdict for a claim."""

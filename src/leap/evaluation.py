@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .core import Claim, Label, canonical_json, load_claims
+from .core import (
+    Claim,
+    Label,
+    _check_keys,
+    _field_opt_str,
+    _field_str,
+    _label_from_wire,
+    _loads_line,
+    canonical_json,
+    load_claims,
+)
 from .errors import DatasetFormatError, SchemaError, StorageError
 
 __all__ = [
@@ -39,17 +49,14 @@ _LABEL_ALIASES = {
 }
 
 
-def _parse_gold_label(value: Any, record_no: int) -> Label:
-    if value == Label.HALLUCINATION.value:
-        return Label.HALLUCINATION
-    if value == Label.NOT_HALLUCINATION.value:
-        return Label.NOT_HALLUCINATION
-    if isinstance(value, str) and value.strip().lower() in _LABEL_ALIASES:
-        return _LABEL_ALIASES[value.strip().lower()]
-    raise DatasetFormatError(
-        f"record {record_no}: label must be 'Hallucination', 'NotHallucination', "
-        f"or an alias ('hallucinated'/'faithful'); got {value!r}"
-    )
+def _parse_gold_label(value: Any) -> Label:
+    alias = _LABEL_ALIASES.get(value.strip().lower()) if isinstance(value, str) else None
+    if alias is not None:
+        return alias
+    try:
+        return _label_from_wire(value, "label", None)
+    except SchemaError as exc:
+        raise SchemaError(f"{exc}, or an alias in {sorted(_LABEL_ALIASES)}; got {value!r}") from exc
 
 
 def load_dataset(path: str | Path, format: str = "native") -> list[Claim]:
@@ -74,6 +81,7 @@ def load_dataset(path: str | Path, format: str = "native") -> list[Claim]:
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
+    adapter = _from_generic if format == "generic_pairs" else _from_halueval
     claims: list[Claim] = []
     record_no = 0
     for raw in lines:
@@ -81,71 +89,51 @@ def load_dataset(path: str | Path, format: str = "native") -> list[Claim]:
             continue
         record_no += 1
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"record {record_no}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise DatasetFormatError(f"record {record_no}: expected an object")
-        if format == "generic_pairs":
-            claims.append(_from_generic(record, record_no))
-        else:
-            claims.extend(_from_halueval(record, record_no))
+            claims.extend(adapter(_loads_line(raw, None), record_no))
+        except SchemaError as exc:
+            raise DatasetFormatError(f"record {record_no}: {exc}") from exc
     _check_unique_ids(claims)
     return claims
 
 
-def _from_generic(record: dict, record_no: int) -> Claim:
-    allowed = {"id", "query", "response", "label"}
-    unknown = set(record) - allowed
-    if unknown or not {"query", "response", "label"} <= set(record):
-        raise DatasetFormatError(
-            f"record {record_no}: generic_pairs needs query/response/label, got {sorted(record)}"
+def _from_generic(record: Any, record_no: int) -> list[Claim]:
+    _check_keys(record, {"query", "response", "label"}, {"id"}, "", None)
+    return [
+        Claim(
+            id=_field_opt_str(record, "id", "", None) or f"pair-{record_no:06d}",
+            query=_field_str(record, "query", "", None),
+            response=_field_str(record, "response", "", None),
+            gold_label=_parse_gold_label(record["label"]),
         )
-    try:
-        return Claim(
-            id=record.get("id") or f"pair-{record_no:06d}",
-            query=record["query"],
-            response=record["response"],
-            gold_label=_parse_gold_label(record["label"], record_no),
-        )
-    except SchemaError as exc:
-        raise DatasetFormatError(f"record {record_no}: {exc}") from exc
+    ]
 
 
-def _from_halueval(record: dict, record_no: int) -> list[Claim]:
+# halueval_qa answer fields, with the claim id suffix and gold label each becomes.
+_HALUEVAL_ANSWERS = (
+    ("right_answer", "right", Label.NOT_HALLUCINATION),
+    ("hallucinated_answer", "hallucinated", Label.HALLUCINATION),
+)
+
+
+def _from_halueval(record: Any, record_no: int) -> list[Claim]:
     # External schema: tolerate extra fields like "knowledge", require the
     # question and at least one answer variant.
-    question = record.get("question")
-    right = record.get("right_answer")
-    hallucinated = record.get("hallucinated_answer")
-    if not isinstance(question, str) or (right is None and hallucinated is None):
-        raise DatasetFormatError(
-            f"record {record_no}: halueval_qa needs a question and a "
-            f"right_answer and/or hallucinated_answer, got {sorted(record)}"
+    _check_keys(record, {"question"}, None, "", None)
+    answers = [a for a in _HALUEVAL_ANSWERS if record.get(a[0]) is not None]
+    if not answers:
+        raise SchemaError(
+            f"halueval_qa needs a right_answer and/or hallucinated_answer, got {sorted(record)}"
         )
-    claims = []
-    try:
-        if right is not None:
-            claims.append(
-                Claim(
-                    id=f"halu-{record_no:06d}-right",
-                    query=question,
-                    response=right,
-                    gold_label=Label.NOT_HALLUCINATION,
-                )
-            )
-        if hallucinated is not None:
-            claims.append(
-                Claim(
-                    id=f"halu-{record_no:06d}-hallucinated",
-                    query=question,
-                    response=hallucinated,
-                    gold_label=Label.HALLUCINATION,
-                )
-            )
-    except SchemaError as exc:
-        raise DatasetFormatError(f"record {record_no}: {exc}") from exc
-    return claims
+    question = _field_str(record, "question", "", None)
+    return [
+        Claim(
+            id=f"halu-{record_no:06d}-{suffix}",
+            query=question,
+            response=_field_str(record, key, "", None),
+            gold_label=label,
+        )
+        for key, suffix, label in answers
+    ]
 
 
 def _check_unique_ids(claims: Sequence[Claim]) -> None:

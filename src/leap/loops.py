@@ -14,9 +14,9 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .agents import (
     Actor,
@@ -233,6 +233,42 @@ class Runtime:
                 evidence = str(action.args[1]) if len(action.args) > 1 else None
                 return steps, Verdict(label=label, evidence=evidence)
 
+    def _fan_out(
+        self, claims: Sequence[Claim], run: Callable[[Claim], Any], what: str, strict: bool = False
+    ) -> tuple[list[Any], list[tuple[str, str]], bool]:
+        """Run every claim: in dataset order at concurrency 1, else on a thread pool.
+
+        Returns the finished results in dataset order, the (claim id, message)
+        failures in dataset order, and whether a KeyboardInterrupt stopped the
+        batch early. A LeapError fails only its own claim unless strict.
+        """
+        results: list[Any] = [None] * len(claims)
+        failures: list[tuple[int, str, str]] = []
+
+        def work(index: int) -> None:
+            claim = claims[index]
+            try:
+                results[index] = run(claim)
+            except LeapError as exc:
+                if strict:
+                    raise
+                logger.warning("%s failed for claim %s: %s", what, claim.id, exc)
+                failures.append((index, claim.id, str(exc)))
+
+        interrupted = False
+        try:
+            if self.config.concurrency == 1:
+                for i in range(len(claims)):
+                    work(i)
+            else:
+                with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
+                    for future in [pool.submit(work, i) for i in range(len(claims))]:
+                        future.result()
+        except KeyboardInterrupt:
+            interrupted = True
+        completed = [r for r in results if r is not None]
+        return completed, [(cid, msg) for _, cid, msg in sorted(failures)], interrupted
+
     # --- learning ----------------------------------------------------------
 
     def run_learning_episode(self, claim: Claim, memories: Memories) -> Trajectory:
@@ -262,16 +298,17 @@ class Runtime:
             estimates.append((summary, emb, estimate))
 
         r_t = terminal_reward(verdict.label, claim.gold_label)
-        partial = Trajectory.build(claim.id, strategy, steps, verdict)
+        trajectory = Trajectory.build(claim.id, strategy, steps, verdict)
         report = advantage(
-            partial,
+            trajectory,
             r_terminal=r_t,
             gamma=self.config.gamma,
             lam=self.config.lam,
             v_curr=estimates[0][2].value,
             v_next=estimates[1][2].value,
         )
-        trajectory = Trajectory.build(claim.id, strategy, steps, verdict, report)
+        # The id does not cover the advantage report, so attaching it keeps the id.
+        trajectory = replace(trajectory, advantage=report)
 
         key_text = claim_key_text(claim)
         memories.precedents.insert(
@@ -314,38 +351,14 @@ class Runtime:
             raise SchemaError("empty dataset")
         out_dir = Path(out_dir)
         started = time.perf_counter()
-        results: list[Trajectory | None] = [None] * len(claims)
-        failures: list[tuple[int, str, str]] = []
-
-        def work(index: int) -> None:
-            claim = claims[index]
-            try:
-                results[index] = self.run_learning_episode(claim, memories)
-            except LeapError as exc:
-                if strict:
-                    raise
-                logger.warning("episode failed for claim %s: %s", claim.id, exc)
-                failures.append((index, claim.id, str(exc)))
-
-        interrupted = False
-        try:
-            if self.config.concurrency == 1:
-                for i in range(len(claims)):
-                    work(i)
-            else:
-                with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                    for future in [pool.submit(work, i) for i in range(len(claims))]:
-                        future.result()
-        except KeyboardInterrupt:
-            # drain: keep what finished and write a partial manifest below
-            interrupted = True
-
-        completed = [t for t in results if t is not None]
+        completed, failures, interrupted = self._fan_out(
+            claims, lambda claim: self.run_learning_episode(claim, memories), "episode", strict
+        )
+        # An interrupted batch still writes what finished, with a partial manifest.
         write_record_lines(out_dir / "trajectories.jsonl", (serialize(t) for t in completed))
-        failures.sort()
         write_record_lines(
             out_dir / "failures.jsonl",
-            (canonical_json({"claim_id": cid, "error": msg}) for _, cid, msg in failures),
+            (canonical_json({"claim_id": cid, "error": msg}) for cid, msg in failures),
         )
         advantages = [t.advantage.advantage for t in completed if t.advantage is not None]
         report = RunReport(
@@ -418,26 +431,11 @@ class Runtime:
         """Detect over a batch; failures are recorded and the batch continues."""
         if not claims:
             raise SchemaError("empty dataset")
-        results: list[DetectionResult | None] = [None] * len(claims)
-        failures: list[tuple[str, str]] = []
-
-        def work(index: int) -> None:
-            claim = claims[index]
-            try:
-                results[index] = self.detect(claim, memories, online_memory=online_memory)
-            except LeapError as exc:
-                logger.warning("detection failed for claim %s: %s", claim.id, exc)
-                failures.append((claim.id, str(exc)))
-
-        if self.config.concurrency == 1:
-            for i in range(len(claims)):
-                work(i)
-        else:
-            with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                for future in [pool.submit(work, i) for i in range(len(claims))]:
-                    future.result()
-
-        completed = [r for r in results if r is not None]
+        completed, failures, interrupted = self._fan_out(
+            claims, lambda claim: self.detect(claim, memories, online_memory=online_memory), "detection"
+        )
+        if interrupted:
+            raise KeyboardInterrupt
         if out_path is not None:
             write_record_lines(out_path, (canonical_json(r.to_dict()) for r in completed))
         return completed, failures

@@ -11,16 +11,22 @@ oracle. Stores allow many concurrent readers and one writer.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from .backend import Embedding
-from .core import VerificationStrategy, canonical_json, _check_keys, _field_float, _field_str
+from .core import (
+    VerificationStrategy,
+    canonical_json,
+    _check_keys,
+    _field_float,
+    _field_str,
+    _loads_line,
+)
 from .errors import SchemaError, StorageError
 
 __all__ = [
@@ -29,7 +35,6 @@ __all__ = [
     "ValueSample",
     "MemoryStore",
     "Memories",
-    "partition_precedents",
     "record_id",
 ]
 
@@ -262,7 +267,7 @@ class MemoryStore:
         lines = text.splitlines()
         if not lines:
             raise SchemaError("store file is empty (missing header)", line=1)
-        header = _parse_line(lines[0], 1)
+        header = _loads_line(lines[0], 1)
         _check_keys(header, {"dim", "cap", "count", "kind"}, set(), "", 1)
         kind = header["kind"]
         if kind not in _RECORD_TYPES:
@@ -272,7 +277,7 @@ class MemoryStore:
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            record = record_type.from_dict(_parse_line(line, i), line=i)
+            record = record_type.from_dict(_loads_line(line, i), line=i)
             store.insert(record)
         if len(store) != header["count"]:
             raise SchemaError(
@@ -281,22 +286,6 @@ class MemoryStore:
                 field="count",
             )
         return store
-
-
-def _parse_line(line: str, line_no: int) -> Any:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-
-
-def partition_precedents(
-    records: Sequence[PrecedentRecord],
-) -> tuple[list[PrecedentRecord], list[PrecedentRecord]]:
-    """Split precedents into successes (advantage > 0) and cautionary tales (<= 0)."""
-    positives = [r for r in records if r.advantage > 0]
-    negatives = [r for r in records if r.advantage <= 0]
-    return positives, negatives
 
 
 _STORE_FILES = {

@@ -10,7 +10,6 @@ they raise at toolbox construction, not at call time.
 
 from __future__ import annotations
 
-import json
 import shutil
 import subprocess
 import threading
@@ -23,7 +22,16 @@ import requests
 
 from . import calculator as _calculator
 from .backend import ChatMessage, ChatRequest, cosine
-from .core import Action, Tool, canonical_json, parse_verdict_label, read_record_lines
+from .core import (
+    Action,
+    Tool,
+    _check_keys,
+    _field_str,
+    _loads_line,
+    canonical_json,
+    parse_verdict_label,
+    read_record_lines,
+)
 from .errors import CalculatorError, SchemaError, ToolConfigError, ToolError
 
 __all__ = [
@@ -41,21 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToolSignature:
-    """Declared shape of one tool: parameter names/types and return type."""
+    """Declared shape of one tool: parameter names and types."""
 
     name: str
     params: tuple[tuple[str, str], ...]
-    returns: str
     kind: str  # "verification" | "system"
     min_args: int
     max_args: int
 
 
-def _sig(name: str, params: list[tuple[str, str]], returns: str, kind: str, min_args: int | None = None) -> ToolSignature:
+def _sig(name: str, params: list[tuple[str, str]], kind: str, min_args: int | None = None) -> ToolSignature:
     return ToolSignature(
         name=name,
         params=tuple(params),
-        returns=returns,
         kind=kind,
         min_args=len(params) if min_args is None else min_args,
         max_args=len(params),
@@ -63,15 +69,15 @@ def _sig(name: str, params: list[tuple[str, str]], returns: str, kind: str, min_
 
 
 SIGNATURES: dict[Tool, ToolSignature] = {
-    Tool.WEB_SEARCH: _sig("web_search", [("query", "str")], "str", "verification"),
-    Tool.CALCULATOR: _sig("calculator", [("formula", "str")], "float", "verification"),
-    Tool.CODE_INTERPRETER: _sig("code_interpreter", [("code", "str")], "bool", "verification"),
-    Tool.WORD_COUNT: _sig("word_count", [("length", "int"), ("text", "str")], "(int, bool)", "verification"),
-    Tool.MATCH: _sig("match", [("sentence", "str"), ("context", "str")], "bool", "verification"),
-    Tool.SPLIT_TEXT: _sig("split_text", [("text", "str")], "list[str]", "system"),
+    Tool.WEB_SEARCH: _sig("web_search", [("query", "str")], "verification"),
+    Tool.CALCULATOR: _sig("calculator", [("formula", "str")], "verification"),
+    Tool.CODE_INTERPRETER: _sig("code_interpreter", [("code", "str")], "verification"),
+    Tool.WORD_COUNT: _sig("word_count", [("length", "int"), ("text", "str")], "verification"),
+    Tool.MATCH: _sig("match", [("sentence", "str"), ("context", "str")], "verification"),
+    Tool.SPLIT_TEXT: _sig("split_text", [("text", "str")], "system"),
     # The table's bare get_answer() must still carry a verdict somewhere; the
     # verdict and optional evidence travel as action arguments here.
-    Tool.GET_ANSWER: _sig("get_answer", [("verdict", "str"), ("evidence", "str")], "(str, str)", "system", min_args=1),
+    Tool.GET_ANSWER: _sig("get_answer", [("verdict", "str"), ("evidence", "str")], "system", min_args=1),
 }
 
 
@@ -133,10 +139,9 @@ class FixtureSearch:
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSearch":
         def parse(line: str, i: int) -> tuple[str, str]:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or set(obj) != {"query", "result"}:
-                raise SchemaError('search fixture needs {"query", "result"}', line=i)
-            return obj["query"], obj["result"]
+            obj = _loads_line(line, i)
+            _check_keys(obj, {"query", "result"}, set(), "", i)
+            return _field_str(obj, "query", "", i), _field_str(obj, "result", "", i)
 
         return cls(dict(read_record_lines(path, parse)))
 
@@ -233,15 +238,6 @@ class Toolbox:
 
     # --- individual tools -------------------------------------------------
 
-    def calculator(self, formula: str) -> float:
-        return _calculator.evaluate(formula)
-
-    def word_count(self, length: int, text: str) -> tuple[int, bool]:
-        return word_count(length, text)
-
-    def split_text(self, text: str) -> list[str]:
-        return split_text(text)
-
     def match(self, sentence: str, context: str) -> bool:
         """True when the sentence is semantically supported by the context."""
         if not sentence or not context:
@@ -316,12 +312,12 @@ class Toolbox:
                 text = f"{text} | {action.args[1]}"
             return text, True
         if tool is Tool.CALCULATOR:
-            return _format_real(self.calculator(str(action.args[0]))), True
+            return _format_real(_calculator.evaluate(str(action.args[0]))), True
         if tool is Tool.WORD_COUNT:
-            count, meets = self.word_count(int(action.args[0]), str(action.args[1]))
+            count, meets = word_count(int(action.args[0]), str(action.args[1]))
             return f"count={count}, meets={'true' if meets else 'false'}", True
         if tool is Tool.SPLIT_TEXT:
-            return canonical_json(self.split_text(str(action.args[0]))), True
+            return canonical_json(split_text(str(action.args[0]))), True
         if tool is Tool.MATCH:
             return ("true" if self.match(str(action.args[0]), str(action.args[1])) else "false"), True
         if tool is Tool.WEB_SEARCH:

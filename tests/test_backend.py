@@ -16,6 +16,7 @@ from leap.backend import (
     ScriptEntry,
     cosine,
     euclidean,
+    load_script,
     request_digest,
 )
 from leap.errors import (
@@ -128,6 +129,23 @@ class TestScriptedProvider:
         provider = ScriptedProvider([ScriptEntry(reply="r")])
         provider.complete(request)
         assert request == req("immutable")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"reply": "r", "extra": 1}', r"unknown field \(field: extra\)"),
+            ('{"key": "k"}', r"missing field \(field: reply\)"),
+            ('{"reply": 3}', r"expected a string \(field: reply\)"),
+            ('{"reply": "r", "claim_key": 5}', r"expected a string \(field: claim_key\)"),
+            ('{"reply": "r", "key": ["k"]}', r"expected a string \(field: key\)"),
+            ('{"reply": ', "invalid JSON"),
+        ],
+    )
+    def test_script_records_are_checked(self, tmp_path, line, message):
+        path = tmp_path / "script.jsonl"
+        path.write_text('{"reply": "ok"}\n' + line + "\n")
+        with pytest.raises(SchemaError, match="line 2: " + message):
+            load_script(path)
 
 
 class TestHashingEmbedder:

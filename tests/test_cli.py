@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from leap.cli import main
-from leap.config import config_from_dict, config_hash, default_config, dump_config, load_config
+from leap.config import (
+    config_from_dict,
+    config_hash,
+    default_config,
+    dump_config,
+    effective_dict,
+    load_config,
+)
 from leap.core import Label, load_trajectories, write_claims
 from leap.errors import ConfigError
 
@@ -53,15 +62,51 @@ class TestConfig:
             ("learning", "memory_cap", 0),
             ("tools", "match_threshold", 2.0),
             ("backend", "embed_dim", 0),
+            ("decoding", "temperature_learn", float("nan")),
+            ("decoding", "top_p_learn", float("nan")),
+            ("tools", "match_threshold", float("nan")),
+            ("backend", "embed_dim", True),
+            ("learning", "seed", False),
+            ("decoding", "max_tokens", 1.0),
+            ("learning", "gamma", "0.5"),
+            ("correction", "theta_corr", True),
+            ("backend", "model", 3),
+            ("tools", "code_executor", ["python3", 1]),
+            ("tools", "code_executor", "python3 -c"),
+            ("learning", "memory_cap", True),
+            ("paths", "prompts_dir", 7),
         ],
     )
     def test_out_of_range_values_rejected(self, section, key, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=key):
             config_from_dict({section: {key: value}})
 
     def test_bad_search_provider(self):
         with pytest.raises(ConfigError, match="search_provider"):
             config_from_dict({"tools": {"search_provider": {"kind": "dns"}}})
+
+    @pytest.mark.parametrize("value", [[], "x", None, 1])
+    def test_non_object_section_rejected(self, value):
+        with pytest.raises(ConfigError, match="backend"):
+            config_from_dict({"backend": value})
+
+    def test_nullable_keys_accept_null(self):
+        config = config_from_dict({"learning": {"memory_cap": None}, "paths": {"prompts_dir": None}})
+        assert config.learning.memory_cap is None
+        assert config.paths.prompts_dir is None
+
+    def test_integers_load_as_floats(self):
+        config = config_from_dict({"learning": {"gamma": 1}, "correction": {"theta_corr": 0}})
+        assert type(config.learning.gamma) is float and type(config.correction.theta_corr) is float
+        assert config_hash(config) == config_hash(default_config())
+
+    def test_default_hash_is_pinned(self):
+        assert config_hash(default_config()) == "f068ad5c770a01b3"
+
+    def test_readme_lists_the_effective_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(block) == effective_dict(default_config())
 
 
 class Workspace:

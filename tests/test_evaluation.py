@@ -61,6 +61,27 @@ class TestGenericPairs:
         with pytest.raises(DatasetFormatError, match="record 1"):
             load_dataset(path, "generic_pairs")
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"query": 5, "response": "r", "label": "faithful"}, "field: query"),
+            ({"query": "q", "response": ["r"], "label": "faithful"}, "field: response"),
+            ({"id": 7, "query": "q", "response": "r", "label": "faithful"}, "field: id"),
+            ({"query": "q", "response": "r", "label": True}, "field: label"),
+            (["q", "r", "faithful"], "expected an object"),
+        ],
+    )
+    def test_field_types_are_checked(self, tmp_path, record, message):
+        path = write_jsonl(tmp_path / "d.jsonl", [{"query": "q", "response": "r", "label": "faithful"}, record])
+        with pytest.raises(DatasetFormatError, match=f"record 2: .*{message}"):
+            load_dataset(path, "generic_pairs")
+
+    def test_invalid_json_names_the_record(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('\n{"query": "q", "response": "r", "label": "faithful"}\n\n{"query"\n')
+        with pytest.raises(DatasetFormatError, match="record 2: invalid JSON"):
+            load_dataset(path, "generic_pairs")
+
     def test_thousand_records_load_with_unique_ids(self, tmp_path):
         records = [
             {"query": f"q{i}", "response": f"r{i}", "label": "Hallucination"} for i in range(1000)
@@ -89,6 +110,20 @@ class TestHaluevalQa:
         claims = load_dataset(write_jsonl(tmp_path / "d.jsonl", [record]), "halueval_qa")
         assert len(claims) == 1
         assert claims[0].gold_label is Label.HALLUCINATION
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"question": "who?", "right_answer": 3},
+            {"question": ["who?"], "hallucinated_answer": "x"},
+            {"question": "who?", "right_answer": None},
+            "who?",
+        ],
+    )
+    def test_malformed_records_are_format_errors(self, tmp_path, record):
+        path = write_jsonl(tmp_path / "d.jsonl", [record])
+        with pytest.raises(DatasetFormatError, match="record 1"):
+            load_dataset(path, "halueval_qa")
 
     def test_missing_question_is_a_format_error(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [{"right_answer": "r"}])

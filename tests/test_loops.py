@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from leap.backend import ScriptedProvider, ScriptEntry
+from leap.backend import HashingEmbedder, ScriptedProvider, ScriptEntry
 from leap.core import (
     Action,
     AdvantageReport,
@@ -20,7 +20,7 @@ from leap.core import (
 )
 from leap.errors import CurationError, SchemaError
 from leap.loops import ExpertDataset, ExpertRecord, curate, export_sft, terminal_reward
-from leap.memory import Memories
+from leap.memory import Memories, PrecedentRecord
 
 from conftest import (
     DIM,
@@ -335,6 +335,30 @@ class TestDetect:
         replies = [e["reply"] for e in detection_entries(claim, score=-0.2, corrected=True)]
         make_runtime(FakeChat(replies)).detect(claim, memories)
         assert len(memories.reflections) == 0
+
+    def test_zero_advantage_precedent_reaches_actor_only_as_negative(self):
+        claim = make_claim(6, gold=None)
+        memories = fresh_memories()
+        embedding = HashingEmbedder(DIM, seed=0).embed("an earlier claim")
+        for i, adv in enumerate([0.5, 0.0, -0.0, 5e-324, -0.2]):
+            memories.precedents.insert(
+                PrecedentRecord(
+                    id=f"p{i}", claim_text="an earlier claim", strategy=make_strategy(),
+                    advantage=adv, embedding=embedding,
+                )
+            )
+        replies = [e["reply"] for e in detection_entries(claim, score=0.4)]
+        runtime = make_runtime(FakeChat(replies), k_precedents_pos=5, k_precedents_neg=5)
+        seen = []
+        act = runtime.actor.act
+
+        def spy(state, strategy, pos, neg, *rest):
+            seen.append(([r.id for r in pos], [r.id for r in neg]))
+            return act(state, strategy, pos, neg, *rest)
+
+        runtime.actor.act = spy
+        runtime.detect(claim, memories)
+        assert seen == [(["p0", "p3"], ["p1", "p2", "p4"])]
 
     def test_online_memory_keeps_corrections(self):
         claim = make_claim(5, gold=None)

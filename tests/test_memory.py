@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from leap.backend import Embedding, euclidean
 from leap.errors import SchemaError, StorageError
@@ -15,7 +14,6 @@ from leap.memory import (
     PrecedentRecord,
     ReflectionRecord,
     ValueSample,
-    partition_precedents,
     record_id,
 )
 
@@ -141,28 +139,6 @@ class TestRetrieve:
         store = MemoryStore("value", DIM)
         with pytest.raises(SchemaError):
             store.retrieve_top_k(Embedding.of([0.0] * DIM), 0)
-
-
-class TestPartition:
-    def test_zero_goes_to_negatives(self):
-        records = [precedent(0, 0.5), precedent(1, 0.0), precedent(2, -0.2)]
-        pos, neg = partition_precedents(records)
-        assert [r.advantage for r in pos] == [0.5]
-        assert [r.advantage for r in neg] == [0.0, -0.2]
-
-    def test_all_positive(self):
-        pos, neg = partition_precedents([precedent(0, 0.1), precedent(1, 2.0)])
-        assert len(pos) == 2 and neg == []
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=30))
-    def test_partition_is_exact_and_order_preserving(self, advantages):
-        records = [precedent(i, a) for i, a in enumerate(advantages)]
-        pos, neg = partition_precedents(records)
-        assert len(pos) + len(neg) == len(records)
-        assert {r.id for r in pos}.isdisjoint({r.id for r in neg})
-        assert all(r.advantage > 0 for r in pos)
-        assert all(r.advantage <= 0 for r in neg)
-        assert [r.id for r in pos] == [r.id for r in records if r.advantage > 0]
 
 
 class TestPersistence:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from leap.backend import HashingEmbedder, cosine
 from leap.core import Action, Tool
-from leap.errors import ToolConfigError
+from leap.errors import SchemaError, ToolConfigError
 from leap.prompts import load_templates
 from leap.tools import (
     SIGNATURES,
@@ -153,6 +153,29 @@ class TestWebSearch:
         result = toolbox.dispatch(Action(Tool.WEB_SEARCH, ("unknown",)))
         assert result.success is False
         assert result.observation_text == "SEARCH_ERROR: no fixture"
+
+    def test_fixture_file_round_trip(self, tmp_path):
+        path = tmp_path / "search.jsonl"
+        path.write_text('{"query": "q1", "result": "r1"}\n\n{"query": "q2", "result": "r2"}\n')
+        provider = FixtureSearch.from_file(path)
+        assert (provider.search("q1", 3), provider.search("q2", 3)) == ("r1", "r2")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"query": "q"}', r"missing field \(field: result\)"),
+            ('{"query": "q", "result": "r", "k": 1}', r"unknown field \(field: k\)"),
+            ('{"query": "q", "result": ["r"]}', r"expected a string \(field: result\)"),
+            ('{"query": 1, "result": "r"}', r"expected a string \(field: query\)"),
+            ('["q", "r"]', "expected an object"),
+            ("{", "invalid JSON"),
+        ],
+    )
+    def test_fixture_file_records_are_checked(self, tmp_path, line, message):
+        path = tmp_path / "search.jsonl"
+        path.write_text('{"query": "q0", "result": "r0"}\n' + line + "\n")
+        with pytest.raises(SchemaError, match="line 2: " + message):
+            FixtureSearch.from_file(path)
 
     def test_http_provider_formats_top_k(self):
         payload = {
