@@ -38,7 +38,6 @@ from .prompts import (
     format_history,
     format_precedents,
     format_reflections,
-    format_state,
     format_strategy,
     format_value_examples,
 )
@@ -435,11 +434,11 @@ class Critic:
         self.template = template
 
     def estimate_value(
-        self, state: StateView, value_samples: Sequence[ValueSample], decoding: Decoding
+        self, state_text: str, value_samples: Sequence[ValueSample], decoding: Decoding
     ) -> ValueEstimate:
+        """Value a state given as its ``format_state`` rendering."""
         prompt = self.template.render(
-            state=format_state(state.claim, state.steps),
-            examples=format_value_examples(value_samples),
+            state=state_text, examples=format_value_examples(value_samples)
         )
         raw = _complete_parsed(
             self.chat, prompt, _parse_value_text, "critic", _CRITIC_REMINDER, decoding

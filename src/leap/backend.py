@@ -19,14 +19,7 @@ from typing import Any, Iterable, Protocol
 
 import requests
 
-from .core import (
-    _check_keys,
-    _field_opt_str,
-    _field_str,
-    _loads_line,
-    canonical_json,
-    read_record_lines,
-)
+from .core import Embedding, Record, _loads_line, canonical_json, read_record_lines
 from .errors import (
     ProviderError,
     RetryExhaustedError,
@@ -87,26 +80,6 @@ class ChatRequest:
         return "\n".join([self.system_prompt, *(m.content for m in self.messages)])
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """A fixed-length vector of finite reals."""
-
-    vector: tuple[float, ...]
-    dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
-        if len(self.vector) != self.dim:
-            raise SchemaError(f"embedding has {len(self.vector)} entries, declared dim {self.dim}")
-        if not all(math.isfinite(v) for v in self.vector):
-            raise SchemaError("embedding entries must be finite")
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "Embedding":
-        vec = tuple(float(v) for v in values)
-        return cls(vector=vec, dim=len(vec))
-
-
 def euclidean(a: Embedding, b: Embedding) -> float:
     """Euclidean distance between two embeddings of equal dimension."""
     if a.dim != b.dim:
@@ -148,7 +121,7 @@ def request_digest(request: ChatRequest) -> str:
 
 
 @dataclass
-class ScriptEntry:
+class ScriptEntry(Record):
     """One scripted reply.
 
     Matched by exact request digest when ``key`` is set, by substring routing
@@ -159,15 +132,6 @@ class ScriptEntry:
     reply: str
     key: str | None = None
     claim_key: str | None = None
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "ScriptEntry":
-        _check_keys(obj, {"reply"}, {"key", "claim_key"}, "", line)
-        return cls(
-            reply=_field_str(obj, "reply", "", line),
-            key=_field_opt_str(obj, "key", "", line),
-            claim_key=_field_opt_str(obj, "claim_key", "", line),
-        )
 
 
 def load_script(path: str | Path) -> list[ScriptEntry]:

@@ -15,6 +15,7 @@ import logging
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .agents import Decoding
@@ -260,7 +261,7 @@ def cmd_tool(args) -> int:
     converted = [int(a) if re.fullmatch(r"-?\d+", a) else a for a in args.args]
     action = Action(tool=TOOL_BY_NAME[args.name], args=tuple(converted))
     result = toolbox.dispatch(action)
-    print(json.dumps(result.to_dict()))
+    print(json.dumps(asdict(result)))
     return 0
 
 

@@ -14,9 +14,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, get_type_hints
 
-from .core import canonical_json
+from .core import WIRE_KEYS, _wire, canonical_json, wire_value
 from .errors import ConfigError, SchemaError
 from .loops import LearningConfig
 
@@ -139,11 +139,6 @@ def load_config(path: str | Path) -> Config:
     return config_from_dict(raw)
 
 
-# Field names that differ from their config keys.
-_KEY_OF_FIELD = {"lam": "lambda"}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-
-
 def config_from_dict(raw: Any) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -164,37 +159,20 @@ def _load_section(cls: type, name: str, obj: Any) -> Any:
     if not isinstance(obj, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     hints = get_type_hints(cls)
-    field_of_key = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(cls)}
+    field_of_key = {WIRE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
     unknown = set(obj) - set(field_of_key)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
     return cls(
         **{
-            field_of_key[key]: _typed(value, hints[field_of_key[key]], f"{name}.{key}")
+            field_of_key[key]: wire_value(hints[field_of_key[key]], value, f"{name}.{key}", None)
             for key, value in obj.items()
         }
     )
 
 
-def _typed(value: Any, hint: Any, key: str) -> Any:
-    """Check a config value against its field annotation; a bool is never a number."""
-    nullable = type(None) in get_args(hint)
-    if nullable:
-        if value is None:
-            return None
-        (hint,) = (a for a in get_args(hint) if a is not type(None))
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-            raise SchemaError(f"{key} must be a list of strings")
-        return tuple(value)
-    accepted = (int, float) if hint is float else hint
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise SchemaError(f"{key} must be {_TYPE_NAMES[hint]}" + (" or null" if nullable else ""))
-    return float(value) if hint is float else value
-
-
 def _wire_dict(items: list[tuple[str, Any]]) -> dict[str, Any]:
-    return {_KEY_OF_FIELD.get(k, k): list(v) if isinstance(v, tuple) else v for k, v in items}
+    return {WIRE_KEYS.get(k, k): _wire(v) for k, v in items}
 
 
 def effective_dict(config: Config) -> dict[str, Any]:

@@ -1,9 +1,20 @@
 """Domain types for tool-augmented claim verification.
 
 Defines the immutable values shared by every other module: claims, verdicts,
-verification strategies, ReAct steps and trajectories, advantage reports, and
-the canonical line-delimited JSON codecs for them. All types are frozen
-dataclasses; once constructed they are safe to share across worker threads.
+verification strategies, ReAct steps and trajectories, advantage reports,
+embeddings, and the one codec that gives every record its line-delimited
+JSON form. All types are frozen dataclasses; once constructed they are safe
+to share across worker threads.
+
+The wire rule. A ``Record``'s wire form is derived from its dataclass: one
+key per field, in field order, named after the field unless ``WIRE_KEYS``
+renames it (``lam`` is written ``lambda``). A ``None`` value is left out.
+Enums are written as their value, tuples as lists, nested records as
+objects and an ``Embedding`` as a list of floats. On input, a field without
+a default is required and a field with a default is optional, unknown keys
+are rejected, and ``wire_value`` checks each value against the field's
+annotation; the config loader uses the same checker. Errors carry the line
+number and the field path, e.g. ``steps[1].action.tool``.
 """
 
 from __future__ import annotations
@@ -11,16 +22,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from types import NoneType
+from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 from .errors import IncompleteTrajectoryError, SchemaError, StorageError
 
 __all__ = [
     "Label",
     "Tool",
+    "WIRE_KEYS",
+    "Record",
+    "Embedding",
+    "wire_value",
     "Claim",
     "Verdict",
     "VerificationStrategy",
@@ -92,8 +109,213 @@ def parse_verdict_label(text: str) -> Label:
     return label
 
 
+# --- the record codec ----------------------------------------------------------
+
+# Field names whose wire key differs; records and config sections share it.
+WIRE_KEYS = {"lam": "lambda"}
+
+
+class Record:
+    """Base of the dataclass records whose wire form the module docstring defines."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return _codec(type(self)).encode(self)
+
+    @classmethod
+    def from_dict(cls, obj: Any, path: str = "", *, line: int | None = None) -> Any:
+        return _codec(cls).decode(obj, path, line)
+
+
 @dataclass(frozen=True)
-class Claim:
+class Embedding:
+    """A fixed-length vector of finite reals."""
+
+    vector: tuple[float, ...]
+    dim: int
+
+    def __post_init__(self) -> None:
+        # Each entry is converted once and checked once.
+        vector = tuple(map(float, self.vector))
+        object.__setattr__(self, "vector", vector)
+        if len(vector) != self.dim:
+            raise SchemaError(f"embedding has {len(vector)} entries, declared dim {self.dim}")
+        if not all(map(math.isfinite, vector)):
+            raise SchemaError("embedding entries must be finite")
+
+    @classmethod
+    def of(cls, values: Iterable[float]) -> "Embedding":
+        vector = tuple(values)
+        return cls(vector=vector, dim=len(vector))
+
+
+class _Codec:
+    """The encoder and decoder of one record type, built once from its fields."""
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.cls = cls
+        # (field name, wire key, the JSON type taken as it is, checker)
+        self.fields: list[tuple[str, str, type | None, Callable]] = []
+        self.required: set[str] = set()
+        self.optional: set[str] = set()
+        for f in fields(cls):
+            key, hint = WIRE_KEYS.get(f.name, f.name), hints[f.name]
+            self.fields.append((f.name, key, _plain_type(hint), _checker(hint)))
+            has_default = f.default is not MISSING or f.default_factory is not MISSING
+            (self.optional if has_default else self.required).add(key)
+
+    def encode(self, record: Any) -> dict[str, Any]:
+        out = {}
+        for name, key, _, _ in self.fields:
+            value = getattr(record, name)
+            if value is not None:
+                out[key] = value if type(value) in _PLAIN else _wire(value)
+        return out
+
+    def decode(self, obj: Any, path: str, line: int | None) -> Any:
+        _check_keys(obj, self.required, self.optional, path, line)
+        kwargs = {}
+        for name, key, plain, check in self.fields:
+            if key in obj:
+                value = obj[key]
+                kwargs[name] = value if type(value) is plain else check(value, _join(path, key), line)
+        return self.cls(**kwargs)
+
+
+# One codec per record type, built on first use.
+_codec = cache(_Codec)
+
+
+def wire_value(hint: Any, value: Any, field: str, line: int | None) -> Any:
+    """Check a decoded JSON value against a field annotation and convert it.
+
+    A bool is never a number, an int is widened for a float field, an enum
+    is given by its value, a tuple by a list and a record by an object.
+    """
+    return _checker(hint)(value, field, line)
+
+
+@cache
+def _checker(hint: Any) -> Callable[[Any, str, int | None], Any]:
+    """A function (value, field, line) that decodes a value of the annotated type.
+
+    A value of another type raises SchemaError naming the field.
+    """
+    expected = f"expected {_describe(hint)}"
+
+    def bad(field: str, line: int | None) -> Any:
+        raise SchemaError(expected, line=line, field=field)
+
+    if hint is float:
+        return lambda v, field, line: float(v) if _is_number(v) else bad(field, line)
+    if hint is int:
+        return lambda v, field, line: v if _is_number(v) and isinstance(v, int) else bad(field, line)
+    if hint in (str, bool, dict):
+        return lambda v, field, line: v if isinstance(v, hint) else bad(field, line)
+    if hint is Embedding:
+        return lambda v, field, line: (
+            Embedding.of(v)
+            if isinstance(v, list) and (set(map(type, v)) <= {int, float} or all(map(_is_number, v)))
+            else bad(field, line)
+        )
+    if isinstance(hint, type) and issubclass(hint, Enum):  # every enum here has string values
+        members = hint._value2member_map_
+        return lambda v, field, line: (
+            members[v] if isinstance(v, str) and v in members else bad(field, line)
+        )
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return lambda v, field, line: hint.from_dict(v, field, line=line)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        item = _checker(get_args(hint)[0])
+        return lambda v, field, line: (
+            tuple(item(x, f"{field}[{i}]", line) for i, x in enumerate(v))
+            if isinstance(v, list)
+            else bad(field, line)
+        )
+    # A union such as X | None or str | int.
+    alternatives = [_checker(a) for a in get_args(hint) if a is not NoneType]
+    nullable = NoneType in get_args(hint)
+
+    def union(v: Any, field: str, line: int | None) -> Any:
+        if v is None and nullable:
+            return None
+        if len(alternatives) == 1:  # X | None: keep the error of a nested record
+            return alternatives[0](v, field, line)
+        for check in alternatives:
+            try:
+                return check(v, field, line)
+            except SchemaError:
+                pass
+        return bad(field, line)
+
+    return union
+
+
+# The JSON types a value can have as it is, and how messages name them.
+_PLAIN = {str: "a string", int: "an integer", float: "a number", bool: "a boolean", dict: "an object"}
+
+
+def _plain_type(hint: Any) -> type | None:
+    """The JSON type whose values a field takes without conversion, if any."""
+    if get_origin(hint) is tuple:
+        return None
+    return next((a for a in (hint, *get_args(hint)) if a in _PLAIN), None)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _describe(hint: Any) -> str:
+    if hint in _PLAIN:
+        return _PLAIN[hint]
+    if hint is Embedding:
+        return "a list of numbers"
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return f"one of {[m.value for m in hint]}"
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return "an object"
+    if get_origin(hint) is tuple:
+        return "a list"
+    # A union; the message leaves out null, which only optional fields accept.
+    return " or ".join(_describe(a) for a in get_args(hint) if a is not NoneType)
+
+
+def _wire(value: Any) -> Any:
+    """The wire form of a field value."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, Embedding):
+        return list(value.vector)
+    if isinstance(value, tuple):
+        return [v if type(v) in _PLAIN else _wire(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _check_keys(
+    obj: Any, required: set[str], optional: set[str] | None, path: str, line: int | None
+) -> None:
+    """Require an object holding the required keys; optional=None allows any other key."""
+    if not isinstance(obj, dict):
+        raise SchemaError(
+            f"expected an object, got {type(obj).__name__}", line=line, field=path or None
+        )
+    if optional is not None:
+        for key in obj:
+            if key not in required and key not in optional:
+                raise SchemaError("unknown field", line=line, field=_join(path, key))
+    if not required <= obj.keys():
+        raise SchemaError("missing field", line=line, field=_join(path, min(required - obj.keys())))
+
+
+@dataclass(frozen=True)
+class Claim(Record):
     """A (query, response) pair whose response's factuality is under test."""
 
     id: str
@@ -109,50 +331,17 @@ class Claim:
         if not self.response.strip():
             raise SchemaError("claim response must be non-empty", field="response")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"id": self.id, "query": self.query, "response": self.response}
-        if self.gold_label is not None:
-            out["gold_label"] = self.gold_label.value
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "Claim":
-        _check_keys(obj, {"id", "query", "response"}, {"gold_label"}, "", line)
-        gold = obj.get("gold_label")
-        if gold is not None:
-            gold = _label_from_wire(gold, "gold_label", line)
-        return cls(
-            id=_field_str(obj, "id", "", line),
-            query=_field_str(obj, "query", "", line),
-            response=_field_str(obj, "response", "", line),
-            gold_label=gold,
-        )
-
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Final detection result, with optional supporting evidence."""
 
     label: Label
     evidence: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"label": self.label.value}
-        if self.evidence is not None:
-            out["evidence"] = self.evidence
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Any, path: str, *, line: int | None = None) -> "Verdict":
-        _check_keys(obj, {"label"}, {"evidence"}, path, line)
-        return cls(
-            label=_label_from_wire(obj["label"], _join(path, "label"), line),
-            evidence=_field_opt_str(obj, "evidence", path, line),
-        )
-
 
 @dataclass(frozen=True)
-class VerificationStrategy:
+class VerificationStrategy(Record):
     """Planner output: problem type, high-level approach, and ordered plan."""
 
     problem_type: str
@@ -165,70 +354,21 @@ class VerificationStrategy:
         if not self.plan:
             raise SchemaError("strategy plan must have at least one step", field="plan")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "problem_type": self.problem_type,
-            "high_level_strategy": self.high_level_strategy,
-            "plan": list(self.plan),
-        }
-        if self.revision_of is not None:
-            out["revision_of"] = self.revision_of
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Any, path: str = "", *, line: int | None = None) -> "VerificationStrategy":
-        _check_keys(obj, {"problem_type", "high_level_strategy", "plan"}, {"revision_of"}, path, line)
-        plan = obj["plan"]
-        if not isinstance(plan, list) or not all(isinstance(p, str) for p in plan):
-            raise SchemaError("plan must be a list of strings", line=line, field=_join(path, "plan"))
-        return cls(
-            problem_type=_field_str(obj, "problem_type", path, line),
-            high_level_strategy=_field_str(obj, "high_level_strategy", path, line),
-            plan=tuple(plan),
-            revision_of=_field_opt_str(obj, "revision_of", path, line),
-        )
-
 
 @dataclass(frozen=True)
-class Action:
+class Action(Record):
     """One tool invocation: the tool name plus its ordered argument list."""
 
     tool: Tool
-    args: tuple[str | int, ...] = ()
+    args: tuple[str | int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        for i, arg in enumerate(self.args):
-            if isinstance(arg, bool) or not isinstance(arg, (str, int)):
-                raise SchemaError(
-                    f"action argument {i} must be a string or integer, got {type(arg).__name__}",
-                    field="args",
-                )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"tool": self.tool.value, "args": list(self.args)}
-
-    @classmethod
-    def from_dict(cls, obj: Any, path: str, *, line: int | None = None) -> "Action":
-        _check_keys(obj, {"tool", "args"}, set(), path, line)
-        name = obj["tool"]
-        if name not in TOOL_BY_NAME:
-            raise SchemaError(f"unknown tool: {name!r}", line=line, field=_join(path, "tool"))
-        args = obj["args"]
-        if not isinstance(args, list):
-            raise SchemaError("args must be a list", line=line, field=_join(path, "args"))
-        for i, arg in enumerate(args):
-            if isinstance(arg, bool) or not isinstance(arg, (str, int)):
-                raise SchemaError(
-                    "argument must be a string or integer",
-                    line=line,
-                    field=_join(path, f"args[{i}]"),
-                )
-        return cls(tool=TOOL_BY_NAME[name], args=tuple(args))
+        args = wire_value(tuple[str | int, ...], list(self.args), "args", None)
+        object.__setattr__(self, "args", args)
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One ReAct turn: a thought, the action taken, and its observation.
 
     The observation is absent only on a terminal step whose result has not
@@ -238,21 +378,6 @@ class Step:
     thought: str
     action: Action
     observation: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"thought": self.thought, "action": self.action.to_dict()}
-        if self.observation is not None:
-            out["observation"] = self.observation
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Any, path: str, *, line: int | None = None) -> "Step":
-        _check_keys(obj, {"thought", "action"}, {"observation"}, path, line)
-        return cls(
-            thought=_field_str(obj, "thought", path, line),
-            action=Action.from_dict(obj["action"], _join(path, "action"), line=line),
-            observation=_field_opt_str(obj, "observation", path, line),
-        )
 
 
 def advantage_value(
@@ -268,7 +393,7 @@ def advantage_value(
 
 
 @dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(Record):
     """All terms of an advantage computation, stored so it can be recomputed."""
 
     r_terminal: float
@@ -293,37 +418,9 @@ class AdvantageReport:
             self.r_terminal, self.gamma, self.v_next, self.v_curr, self.lam, self.n_tools
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "r_terminal": self.r_terminal,
-            "gamma": self.gamma,
-            "v_next": self.v_next,
-            "v_curr": self.v_curr,
-            "lambda": self.lam,
-            "n_tools": self.n_tools,
-            "advantage": self.advantage,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Any, path: str, *, line: int | None = None) -> "AdvantageReport":
-        required = {"r_terminal", "gamma", "v_next", "v_curr", "lambda", "n_tools", "advantage"}
-        _check_keys(obj, required, set(), path, line)
-        n_tools = obj["n_tools"]
-        if isinstance(n_tools, bool) or not isinstance(n_tools, int):
-            raise SchemaError("n_tools must be an integer", line=line, field=_join(path, "n_tools"))
-        return cls(
-            r_terminal=_field_float(obj, "r_terminal", path, line),
-            gamma=_field_float(obj, "gamma", path, line),
-            v_next=_field_float(obj, "v_next", path, line),
-            v_curr=_field_float(obj, "v_curr", path, line),
-            lam=_field_float(obj, "lambda", path, line),
-            n_tools=n_tools,
-            advantage=_field_float(obj, "advantage", path, line),
-        )
-
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """A completed or in-flight verification run for one claim.
 
     The id is content-addressed over (claim_id, strategy, steps) so reruns of
@@ -366,41 +463,6 @@ class Trajectory:
             steps=steps,
             verdict=verdict,
             advantage=advantage,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "claim_id": self.claim_id,
-            "strategy": self.strategy.to_dict(),
-            "steps": [s.to_dict() for s in self.steps],
-        }
-        if self.verdict is not None:
-            out["verdict"] = self.verdict.to_dict()
-        if self.advantage is not None:
-            out["advantage"] = self.advantage.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "Trajectory":
-        _check_keys(obj, {"id", "claim_id", "strategy", "steps"}, {"verdict", "advantage"}, "", line)
-        raw_steps = obj["steps"]
-        if not isinstance(raw_steps, list):
-            raise SchemaError("steps must be a list", line=line, field="steps")
-        steps = tuple(
-            Step.from_dict(s, f"steps[{i}]", line=line) for i, s in enumerate(raw_steps)
-        )
-        verdict = obj.get("verdict")
-        advantage = obj.get("advantage")
-        return cls(
-            id=_field_str(obj, "id", "", line),
-            claim_id=_field_str(obj, "claim_id", "", line),
-            strategy=VerificationStrategy.from_dict(obj["strategy"], "strategy", line=line),
-            steps=steps,
-            verdict=None if verdict is None else Verdict.from_dict(verdict, "verdict", line=line),
-            advantage=None
-            if advantage is None
-            else AdvantageReport.from_dict(advantage, "advantage", line=line),
         )
 
 
@@ -576,55 +638,3 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> int:
     return write_record_lines(path, (serialize(t) for t in trajectories))
-
-
-# --- schema plumbing ----------------------------------------------------------
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _check_keys(
-    obj: Any, required: set[str], optional: set[str] | None, path: str, line: int | None
-) -> None:
-    """Require an object holding the required keys; optional=None allows any other key."""
-    if not isinstance(obj, dict):
-        raise SchemaError(
-            f"expected an object, got {type(obj).__name__}", line=line, field=path or None
-        )
-    for key in obj:
-        if optional is not None and key not in required and key not in optional:
-            raise SchemaError("unknown field", line=line, field=_join(path, key))
-    for key in sorted(required):
-        if key not in obj:
-            raise SchemaError("missing field", line=line, field=_join(path, key))
-
-
-def _field_str(obj: dict, key: str, path: str, line: int | None) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise SchemaError("expected a string", line=line, field=_join(path, key))
-    return value
-
-
-def _field_opt_str(obj: dict, key: str, path: str, line: int | None) -> str | None:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise SchemaError("expected a string", line=line, field=_join(path, key))
-    return value
-
-
-def _field_float(obj: dict, key: str, path: str, line: int | None) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("expected a number", line=line, field=_join(path, key))
-    return float(value)
-
-
-def _label_from_wire(value: Any, field: str, line: int | None) -> Label:
-    if value == Label.HALLUCINATION.value:
-        return Label.HALLUCINATION
-    if value == Label.NOT_HALLUCINATION.value:
-        return Label.NOT_HALLUCINATION
-    raise SchemaError(f"label must be one of {[l.value for l in Label]}", line=line, field=field)

@@ -8,7 +8,6 @@ rather than the platform default so a seeded split is reproducible anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -16,13 +15,12 @@ from typing import Any, Sequence
 from .core import (
     Claim,
     Label,
+    Record,
     _check_keys,
-    _field_opt_str,
-    _field_str,
-    _label_from_wire,
     _loads_line,
     canonical_json,
     load_claims,
+    wire_value,
 )
 from .errors import DatasetFormatError, SchemaError, StorageError
 
@@ -54,7 +52,7 @@ def _parse_gold_label(value: Any) -> Label:
     if alias is not None:
         return alias
     try:
-        return _label_from_wire(value, "label", None)
+        return wire_value(Label, value, "label", None)
     except SchemaError as exc:
         raise SchemaError(f"{exc}, or an alias in {sorted(_LABEL_ALIASES)}; got {value!r}") from exc
 
@@ -100,9 +98,9 @@ def _from_generic(record: Any, record_no: int) -> list[Claim]:
     _check_keys(record, {"query", "response", "label"}, {"id"}, "", None)
     return [
         Claim(
-            id=_field_opt_str(record, "id", "", None) or f"pair-{record_no:06d}",
-            query=_field_str(record, "query", "", None),
-            response=_field_str(record, "response", "", None),
+            id=wire_value(str | None, record.get("id"), "id", None) or f"pair-{record_no:06d}",
+            query=wire_value(str, record["query"], "query", None),
+            response=wire_value(str, record["response"], "response", None),
             gold_label=_parse_gold_label(record["label"]),
         )
     ]
@@ -124,12 +122,12 @@ def _from_halueval(record: Any, record_no: int) -> list[Claim]:
         raise SchemaError(
             f"halueval_qa needs a right_answer and/or hallucinated_answer, got {sorted(record)}"
         )
-    question = _field_str(record, "question", "", None)
+    question = wire_value(str, record["question"], "question", None)
     return [
         Claim(
             id=f"halu-{record_no:06d}-{suffix}",
             query=question,
-            response=_field_str(record, key, "", None),
+            response=wire_value(str, record[key], key, None),
             gold_label=label,
         )
         for key, suffix, label in answers
@@ -195,14 +193,11 @@ def sample_split(claims: Sequence[Claim], n: int, seed: int) -> list[Claim]:
 
 
 @dataclass(frozen=True)
-class Confusion:
+class Confusion(Record):
     tp: int
     fp: int
     tn: int
     fn: int
-
-    def to_dict(self) -> dict[str, int]:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
 @dataclass(frozen=True)
@@ -250,31 +245,12 @@ def compute_metrics(pairs: Sequence[tuple[Label, Label]]) -> Metrics:
 
 
 @dataclass(frozen=True)
-class PerClaim:
+class PerClaim(Record):
     id: str
     gold: Label
     predicted: Label
     n_steps: int
     corrected: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "gold": self.gold.value,
-            "predicted": self.predicted.value,
-            "n_steps": self.n_steps,
-            "corrected": self.corrected,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PerClaim":
-        return cls(
-            id=obj["id"],
-            gold=Label(obj["gold"]),
-            predicted=Label(obj["predicted"]),
-            n_steps=obj["n_steps"],
-            corrected=obj["corrected"],
-        )
 
 
 @dataclass(frozen=True)
@@ -356,16 +332,16 @@ def render_summary(reports: Sequence[EvalReport]) -> str:
 
 def parse_report(text: str) -> EvalReport:
     """Parse a machine-format report line back into an EvalReport."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
-    confusion = Confusion(**obj["confusion"])
+    obj = _loads_line(text, None)
+    keys = {"dataset", "n", "accuracy", "f1", "confusion", "positive_class", "per_claim"}
+    _check_keys(obj, keys, set(), "", None)
+    if obj["positive_class"] != Label.HALLUCINATION.value:
+        raise SchemaError(f"expected {Label.HALLUCINATION.value!r}", field="positive_class")
     return EvalReport(
-        dataset=obj["dataset"],
-        n=obj["n"],
-        accuracy=obj["accuracy"],
-        f1=obj["f1"],
-        confusion=confusion,
-        per_claim=tuple(PerClaim.from_dict(p) for p in obj["per_claim"]),
+        dataset=wire_value(str, obj["dataset"], "dataset", None),
+        n=wire_value(int, obj["n"], "n", None),
+        accuracy=wire_value(float, obj["accuracy"], "accuracy", None),
+        f1=wire_value(float, obj["f1"], "f1", None),
+        confusion=Confusion.from_dict(obj["confusion"], "confusion"),
+        per_claim=wire_value(tuple[PerClaim, ...], obj["per_claim"], "per_claim", None),
     )

@@ -12,9 +12,10 @@ work; the memory stores are the only shared mutable state.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -31,6 +32,7 @@ from .agents import (
 from .backend import ChatProvider, Embedder
 from .core import (
     Claim,
+    Embedding,
     Label,
     StateView,
     Step,
@@ -141,14 +143,6 @@ class RunReport:
     reflected: int
     mean_advantage: float | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "completed": self.completed,
-            "failed": self.failed,
-            "reflected": self.reflected,
-            "mean_advantage": self.mean_advantage,
-        }
-
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -169,15 +163,7 @@ class DetectionResult:
             "claim_id": self.claim_id,
             "verdict": self.verdict.to_dict(),
             "corrected": self.corrected,
-            "scores": [
-                {
-                    "strategy_ref": s.strategy_ref,
-                    "score": s.score,
-                    "threshold": s.threshold,
-                    "approved": s.approved,
-                }
-                for s in self.scores
-            ],
+            "scores": [asdict(s) for s in self.scores],
             "trajectory_id": self.trajectory.id,
             "n_steps": len(self.trajectory.steps),
         }
@@ -211,9 +197,8 @@ class Runtime:
     # --- shared execution loop -------------------------------------------
 
     def _execute(
-        self, claim: Claim, strategy, memories: Memories, decoding: Decoding
+        self, claim: Claim, claim_emb: Embedding, strategy, memories: Memories, decoding: Decoding
     ) -> tuple[list[Step], Verdict]:
-        claim_emb = self.embedder.embed(claim_key_text(claim))
         pos = memories.precedents.retrieve_top_k(
             claim_emb, self.config.k_precedents_pos, lambda r: r.advantage > 0
         )
@@ -240,20 +225,26 @@ class Runtime:
 
         Returns the finished results in dataset order, the (claim id, message)
         failures in dataset order, and whether a KeyboardInterrupt stopped the
-        batch early. A LeapError fails only its own claim unless strict.
+        batch early. A LeapError fails only its own claim unless strict; any
+        exception that ends the batch keeps queued claims from starting.
         """
         results: list[Any] = [None] * len(claims)
         failures: list[tuple[int, str, str]] = []
+        stop = threading.Event()
 
         def work(index: int) -> None:
+            if stop.is_set():
+                return
             claim = claims[index]
             try:
                 results[index] = run(claim)
-            except LeapError as exc:
-                if strict:
-                    raise
-                logger.warning("%s failed for claim %s: %s", what, claim.id, exc)
-                failures.append((index, claim.id, str(exc)))
+            except BaseException as exc:
+                if isinstance(exc, LeapError) and not strict:
+                    logger.warning("%s failed for claim %s: %s", what, claim.id, exc)
+                    failures.append((index, claim.id, str(exc)))
+                    return
+                stop.set()
+                raise
 
         interrupted = False
         try:
@@ -262,8 +253,11 @@ class Runtime:
                     work(i)
             else:
                 with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                    for future in [pool.submit(work, i) for i in range(len(claims))]:
-                        future.result()
+                    try:
+                        for future in [pool.submit(work, i) for i in range(len(claims))]:
+                            future.result()
+                    finally:
+                        stop.set()
         except KeyboardInterrupt:
             interrupted = True
         completed = [r for r in results if r is not None]
@@ -281,10 +275,11 @@ class Runtime:
         if claim.gold_label is None:
             raise SchemaError(f"claim {claim.id} has no gold label; learning requires one")
         decoding = self.decoding_learn
-        claim_emb = self.embedder.embed(claim_key_text(claim))
+        key_text = claim_key_text(claim)
+        claim_emb = self.embedder.embed(key_text)
         reflections = memories.reflections.retrieve_top_k(claim_emb, self.config.k_reflections)
         strategy = self.planner.plan(claim, reflections, decoding)
-        steps, verdict = self._execute(claim, strategy, memories, decoding)
+        steps, verdict = self._execute(claim, claim_emb, strategy, memories, decoding)
 
         # Value every state s_0 .. s_N; the advantage reads V(s_0) and V(s_1).
         estimates = []
@@ -292,9 +287,7 @@ class Runtime:
             summary = format_state(claim, steps[:n])
             emb = self.embedder.embed(summary)
             samples = memories.values.retrieve_top_k(emb, self.config.k_reflections)
-            estimate = self.critic.estimate_value(
-                StateView(claim=claim, steps=tuple(steps[:n])), samples, decoding
-            )
+            estimate = self.critic.estimate_value(summary, samples, decoding)
             estimates.append((summary, emb, estimate))
 
         r_t = terminal_reward(verdict.label, claim.gold_label)
@@ -310,7 +303,6 @@ class Runtime:
         # The id does not cover the advantage report, so attaching it keeps the id.
         trajectory = replace(trajectory, advantage=report)
 
-        key_text = claim_key_text(claim)
         memories.precedents.insert(
             PrecedentRecord(
                 id=record_id("precedent", key_text, strategy.to_dict(), report.advantage),
@@ -369,7 +361,7 @@ class Runtime:
         )
         manifest = {
             "config_hash": config_hash,
-            "counts": report.to_dict(),
+            "counts": asdict(report),
             "interrupted": interrupted,
             "duration_ms": (time.perf_counter() - started) * 1000.0,
         }
@@ -411,7 +403,7 @@ class Runtime:
                 self.critic.preemptive_score(claim, final, samples, self.theta_corr, decoding)
             )
 
-        steps, verdict = self._execute(claim, final, memories, decoding)
+        steps, verdict = self._execute(claim, claim_emb, final, memories, decoding)
         trajectory = Trajectory.build(claim.id, final, steps, verdict)
         return DetectionResult(
             claim_id=claim.id,
@@ -434,10 +426,11 @@ class Runtime:
         completed, failures, interrupted = self._fan_out(
             claims, lambda claim: self.detect(claim, memories, online_memory=online_memory), "detection"
         )
-        if interrupted:
-            raise KeyboardInterrupt
+        # An interrupted batch still writes the verdicts that finished.
         if out_path is not None:
             write_record_lines(out_path, (canonical_json(r.to_dict()) for r in completed))
+        if interrupted:
+            raise KeyboardInterrupt
         return completed, failures
 
 

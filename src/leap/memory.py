@@ -18,15 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .backend import Embedding
-from .core import (
-    VerificationStrategy,
-    canonical_json,
-    _check_keys,
-    _field_float,
-    _field_str,
-    _loads_line,
-)
+from .core import Embedding, Record, VerificationStrategy, _check_keys, _loads_line, canonical_json
 from .errors import SchemaError, StorageError
 
 __all__ = [
@@ -47,7 +39,7 @@ def record_id(*parts: Any) -> str:
 
 
 @dataclass(frozen=True)
-class ReflectionRecord:
+class ReflectionRecord(Record):
     """A stored failure analysis: diagnosis, principles, and a revised strategy.
 
     ``key_text`` is the failed claim's query+response concatenation, so the
@@ -66,37 +58,9 @@ class ReflectionRecord:
         if not self.principles:
             raise SchemaError("reflection needs at least one principle", field="principles")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "key_text": self.key_text,
-            "diagnosis": self.diagnosis,
-            "principles": list(self.principles),
-            "revised_strategy": self.revised_strategy.to_dict(),
-            "embedding": list(self.embedding.vector),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "ReflectionRecord":
-        required = {"id", "key_text", "diagnosis", "principles", "revised_strategy", "embedding"}
-        _check_keys(obj, required, set(), "", line)
-        principles = obj["principles"]
-        if not isinstance(principles, list) or not all(isinstance(p, str) for p in principles):
-            raise SchemaError("principles must be a list of strings", line=line, field="principles")
-        return cls(
-            id=_field_str(obj, "id", "", line),
-            key_text=_field_str(obj, "key_text", "", line),
-            diagnosis=_field_str(obj, "diagnosis", "", line),
-            principles=tuple(principles),
-            revised_strategy=VerificationStrategy.from_dict(
-                obj["revised_strategy"], "revised_strategy", line=line
-            ),
-            embedding=_embedding_from_wire(obj["embedding"], line),
-        )
-
 
 @dataclass(frozen=True)
-class PrecedentRecord:
+class PrecedentRecord(Record):
     """A (claim, strategy, advantage) tuple from a finished episode."""
 
     id: str
@@ -105,29 +69,9 @@ class PrecedentRecord:
     advantage: float
     embedding: Embedding
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "claim_text": self.claim_text,
-            "strategy": self.strategy.to_dict(),
-            "advantage": self.advantage,
-            "embedding": list(self.embedding.vector),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "PrecedentRecord":
-        _check_keys(obj, {"id", "claim_text", "strategy", "advantage", "embedding"}, set(), "", line)
-        return cls(
-            id=_field_str(obj, "id", "", line),
-            claim_text=_field_str(obj, "claim_text", "", line),
-            strategy=VerificationStrategy.from_dict(obj["strategy"], "strategy", line=line),
-            advantage=_field_float(obj, "advantage", "", line),
-            embedding=_embedding_from_wire(obj["embedding"], line),
-        )
-
 
 @dataclass(frozen=True)
-class ValueSample:
+class ValueSample(Record):
     """A (state summary, estimated value) pair for in-context value fitting."""
 
     id: str
@@ -135,38 +79,12 @@ class ValueSample:
     value: float
     embedding: Embedding
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "state_summary": self.state_summary,
-            "value": self.value,
-            "embedding": list(self.embedding.vector),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Any, *, line: int | None = None) -> "ValueSample":
-        _check_keys(obj, {"id", "state_summary", "value", "embedding"}, set(), "", line)
-        return cls(
-            id=_field_str(obj, "id", "", line),
-            state_summary=_field_str(obj, "state_summary", "", line),
-            value=_field_float(obj, "value", "", line),
-            embedding=_embedding_from_wire(obj["embedding"], line),
-        )
-
 
 _RECORD_TYPES: dict[str, Any] = {
     "reflection": ReflectionRecord,
     "precedent": PrecedentRecord,
     "value": ValueSample,
 }
-
-
-def _embedding_from_wire(value: Any, line: int | None) -> Embedding:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise SchemaError("embedding must be a list of numbers", line=line, field="embedding")
-    return Embedding.of(value)
 
 
 class MemoryStore:

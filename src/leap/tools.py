@@ -26,11 +26,11 @@ from .core import (
     Action,
     Tool,
     _check_keys,
-    _field_str,
     _loads_line,
     canonical_json,
     parse_verdict_label,
     read_record_lines,
+    wire_value,
 )
 from .errors import CalculatorError, SchemaError, ToolConfigError, ToolError
 
@@ -89,13 +89,6 @@ class ToolResult:
     success: bool
     latency_ms: float = 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "observation_text": self.observation_text,
-            "success": self.success,
-            "latency_ms": self.latency_ms,
-        }
-
 
 def word_count(length: int, text: str) -> tuple[int, bool]:
     """Count whitespace-separated words and check an at-least length requirement."""
@@ -141,7 +134,7 @@ class FixtureSearch:
         def parse(line: str, i: int) -> tuple[str, str]:
             obj = _loads_line(line, i)
             _check_keys(obj, {"query", "result"}, set(), "", i)
-            return _field_str(obj, "query", "", i), _field_str(obj, "result", "", i)
+            return wire_value(str, obj["query"], "query", i), wire_value(str, obj["result"], "result", i)
 
         return cls(dict(read_record_lines(path, parse)))
 

@@ -33,6 +33,7 @@ from leap.core import (
 )
 from leap.errors import AgentFormatError, ReactParseError, SchemaError
 from leap.memory import ValueSample
+from leap.prompts import format_state
 
 from conftest import FakeChat, make_claim, make_strategy, reflection_reply, strategy_reply
 
@@ -235,8 +236,8 @@ class TestCritic:
     def estimate(self, replies, samples=()):
         chat = FakeChat(replies)
         critic = Critic(chat, _template("critic"))
-        state = StateView(claim=make_claim(1))
-        return critic.estimate_value(state, list(samples), LEARN), chat
+        state_text = format_state(make_claim(1), ())
+        return critic.estimate_value(state_text, list(samples), LEARN), chat
 
     def test_parses_number(self):
         estimate, chat = self.estimate(["0.7"])

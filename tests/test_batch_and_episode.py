@@ -1,0 +1,99 @@
+"""Batch fan-out on failure and interrupt, and the work done once per episode."""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+import leap.agents
+import leap.loops
+from leap.agents import claim_key_text
+from leap.backend import ScriptedProvider, ScriptEntry
+from leap.errors import AgentFormatError
+from leap.memory import Memories
+
+from conftest import DIM, FakeChat, detection_entries, episode_entries, make_claim, make_runtime
+
+
+def test_strict_failure_keeps_queued_claims_from_starting(tmp_path):
+    claims = [make_claim(i) for i in range(8)]
+    runtime = make_runtime(FakeChat([]), concurrency=2)
+    started = []
+    second_started = threading.Event()
+
+    def episode(claim, memories):
+        started.append(claim.id)
+        if claim is claims[0]:
+            second_started.wait(5)
+            raise AgentFormatError("planner", "scripted failure")
+        second_started.set()
+        time.sleep(0.2)  # still running when the first claim fails
+        return None
+
+    runtime.run_learning_episode = episode
+    with pytest.raises(AgentFormatError):
+        runtime.run_learning(claims, Memories.fresh(DIM), tmp_path, strict=True)
+    assert sorted(started) == [claims[0].id, claims[1].id]
+
+
+class _InterruptOn:
+    """Chat provider that raises KeyboardInterrupt on any request about one claim."""
+
+    def __init__(self, inner, claim):
+        self.inner = inner
+        self.claim = claim
+
+    def complete(self, request):
+        if self.claim.query in request.text():
+            raise KeyboardInterrupt
+        return self.inner.complete(request)
+
+
+def test_interrupted_detection_writes_the_finished_verdicts(tmp_path):
+    claims = [make_claim(i, gold=None) for i in range(5)]
+    entries = [e for claim in claims[:2] for e in detection_entries(claim)]
+    chat = _InterruptOn(ScriptedProvider([ScriptEntry(**e) for e in entries]), claims[2])
+    runtime = make_runtime(chat)
+    out = tmp_path / "verdicts.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        runtime.run_detection(claims, Memories.fresh(DIM), out_path=out)
+    written = [json.loads(line)["claim_id"] for line in out.read_text().splitlines()]
+    assert written == [claims[0].id, claims[1].id]
+
+
+def test_episode_renders_each_state_once_and_embeds_the_claim_once(monkeypatch):
+    claim = make_claim(1)
+    replies = [
+        e["reply"]
+        for e in episode_entries(
+            claim,
+            step_actions=('calculator("2+2")', 'word_count(3, "a b c")'),
+            values=(0.2, 0.5, 0.1, 0.3),
+        )
+    ]
+    runtime = make_runtime(FakeChat(replies))
+    rendered = []
+    real_format_state = leap.loops.format_state
+
+    def counting_format_state(c, steps):
+        rendered.append(len(steps))
+        return real_format_state(c, steps)
+
+    for module in (leap.loops, leap.agents):
+        monkeypatch.setattr(module, "format_state", counting_format_state, raising=False)
+    embedded = Counter()
+    real_embed = runtime.embedder.embed
+
+    def counting_embed(text):
+        embedded[text] += 1
+        return real_embed(text)
+
+    runtime.embedder.embed = counting_embed
+    trajectory = runtime.run_learning_episode(claim, Memories.fresh(DIM))
+    assert len(trajectory.steps) == 3
+    assert rendered == [0, 1, 2, 3]
+    assert embedded[claim_key_text(claim)] == 1
