@@ -15,11 +15,12 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .backend import ChatMessage, ChatRequest, ChatProvider, Embedder
+from .backend import ChatMessage, ChatRequest, ChatProvider
 from .core import (
     Action,
     AdvantageReport,
     Claim,
+    Embedding,
     Label,
     StateView,
     Tool,
@@ -469,13 +470,12 @@ class Critic:
 class Reflector:
     """Turns failures into reflection records that feed back into planning."""
 
-    def __init__(self, chat: ChatProvider, template: PromptTemplate, embedder: Embedder):
+    def __init__(self, chat: ChatProvider, template: PromptTemplate):
         self.chat = chat
         self.template = template
-        self.embedder = embedder
 
     def reflect_failure(
-        self, claim: Claim, trajectory: Trajectory, decoding: Decoding
+        self, claim: Claim, claim_emb: Embedding, trajectory: Trajectory, decoding: Decoding
     ) -> ReflectionRecord:
         """Learning mode: analyze a completed trajectory with negative advantage."""
         failure_lines = [
@@ -489,10 +489,15 @@ class Reflector:
             failure_lines.append(f"Verdict reached: {trajectory.verdict.label.value}")
         if trajectory.advantage is not None:
             failure_lines.append(f"Advantage assessed: {trajectory.advantage.advantage:+.4f}")
-        return self._reflect(claim, "\n".join(failure_lines), decoding)
+        return self._reflect(claim, claim_emb, "\n".join(failure_lines), decoding)
 
     def reflect_strategy(
-        self, claim: Claim, strategy: VerificationStrategy, score: PreemptiveScore, decoding: Decoding
+        self,
+        claim: Claim,
+        claim_emb: Embedding,
+        strategy: VerificationStrategy,
+        score: PreemptiveScore,
+        decoding: Decoding,
     ) -> ReflectionRecord:
         """Correction mode: analyze a strategy the critic rejected before execution."""
         failure = (
@@ -500,9 +505,12 @@ class Reflector:
             f"(predicted advantage {score.score:+.4f}, threshold {score.threshold:+.4f}):\n"
             f"{format_strategy(strategy)}"
         )
-        return self._reflect(claim, failure, decoding)
+        return self._reflect(claim, claim_emb, failure, decoding)
 
-    def _reflect(self, claim: Claim, failure: str, decoding: Decoding) -> ReflectionRecord:
+    def _reflect(
+        self, claim: Claim, claim_emb: Embedding, failure: str, decoding: Decoding
+    ) -> ReflectionRecord:
+        """A reflection keyed by the claim's embedding, which the caller already holds."""
         prompt = self.template.render(claim=format_claim_block(claim), failure=failure)
         diagnosis, principles, revised = _complete_parsed(
             self.chat, prompt, parse_reflection_text, "reflector", _REFLECTOR_REMINDER, decoding
@@ -514,7 +522,7 @@ class Reflector:
             diagnosis=diagnosis,
             principles=principles,
             revised_strategy=revised,
-            embedding=self.embedder.embed(key_text),
+            embedding=claim_emb,
         )
 
 

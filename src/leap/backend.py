@@ -84,16 +84,18 @@ def euclidean(a: Embedding, b: Embedding) -> float:
     """Euclidean distance between two embeddings of equal dimension."""
     if a.dim != b.dim:
         raise SchemaError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.vector, b.vector)))
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.vector.tolist(), b.vector.tolist())))
 
 
 def cosine(a: Embedding, b: Embedding) -> float:
     """Cosine similarity; zero vectors compare as 0.0."""
     if a.dim != b.dim:
         raise SchemaError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dot = sum(x * y for x, y in zip(a.vector, b.vector))
-    na = math.sqrt(sum(x * x for x in a.vector))
-    nb = math.sqrt(sum(y * y for y in b.vector))
+    # Python floats summed left to right, so results match the pinned cases bit for bit.
+    u, v = a.vector.tolist(), b.vector.tolist()
+    dot = sum(x * y for x, y in zip(u, v))
+    na = math.sqrt(sum(x * x for x in u))
+    nb = math.sqrt(sum(y * y for y in v))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)

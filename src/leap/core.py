@@ -22,12 +22,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import IncompleteTrajectoryError, SchemaError, StorageError
 
@@ -128,24 +132,43 @@ class Record:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A fixed-length vector of finite reals."""
+    """A fixed-length vector of finite reals, held as a read-only float64 array.
 
-    vector: tuple[float, ...]
+    The array is the embedding's own copy, so a store reusing a matrix row
+    never changes an embedding handed out before.
+    """
+
+    vector: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
         # Each entry is converted once and checked once.
-        vector = tuple(map(float, self.vector))
-        object.__setattr__(self, "vector", vector)
-        if len(vector) != self.dim:
-            raise SchemaError(f"embedding has {len(vector)} entries, declared dim {self.dim}")
-        if not all(map(math.isfinite, vector)):
+        try:
+            vector = np.array(self.vector, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"embedding entries must be numbers: {exc}") from None
+        if vector.shape != (self.dim,):
+            raise SchemaError(f"embedding has {vector.size} entries, declared dim {self.dim}")
+        if not np.isfinite(vector).all():
             raise SchemaError("embedding entries must be finite")
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Embedding):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.vector, other.vector)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.vector.tolist()))
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Embedding":
-        vector = tuple(values)
-        return cls(vector=vector, dim=len(vector))
+        try:
+            vector = np.fromiter(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"embedding entries must be numbers: {exc}") from None
+        return cls(vector=vector, dim=vector.size)
 
 
 class _Codec:
@@ -179,7 +202,10 @@ class _Codec:
             if key in obj:
                 value = obj[key]
                 kwargs[name] = value if type(value) is plain else check(value, _join(path, key), line)
-        return self.cls(**kwargs)
+        try:
+            return self.cls(**kwargs)
+        except SchemaError as exc:  # the record's own invariants
+            raise exc.located(line, path) from None
 
 
 # One codec per record type, built on first use.
@@ -213,11 +239,19 @@ def _checker(hint: Any) -> Callable[[Any, str, int | None], Any]:
     if hint in (str, bool, dict):
         return lambda v, field, line: v if isinstance(v, hint) else bad(field, line)
     if hint is Embedding:
-        return lambda v, field, line: (
-            Embedding.of(v)
-            if isinstance(v, list) and (set(map(type, v)) <= {int, float} or all(map(_is_number, v)))
-            else bad(field, line)
-        )
+
+        def embedding(v: Any, field: str, line: int | None) -> Embedding:
+            numbers = isinstance(v, list) and (
+                set(map(type, v)) <= {int, float} or all(map(_is_number, v))
+            )
+            if not numbers:
+                bad(field, line)
+            try:
+                return Embedding.of(v)
+            except SchemaError as exc:
+                raise exc.located(line, field) from None
+
+        return embedding
     if isinstance(hint, type) and issubclass(hint, Enum):  # every enum here has string values
         members = hint._value2member_map_
         return lambda v, field, line: (
@@ -286,7 +320,7 @@ def _wire(value: Any) -> Any:
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, Embedding):
-        return list(value.vector)
+        return value.vector.tolist()
     if isinstance(value, tuple):
         return [v if type(v) in _PLAIN else _wire(v) for v in value]
     if isinstance(value, Enum):
@@ -604,14 +638,24 @@ def read_record_lines(path: str | Path, parse: Callable[[str, int], Any]) -> lis
 
 
 def write_record_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write one record per line, atomically: readers see the old file or the whole new one.
+
+    The lines go to a temporary file beside ``path``, which then replaces it.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            n = 0
-            for line in lines:
-                fh.write(line + "\n")
-                n += 1
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                n = 0
+                for line in lines:
+                    fh.write(line + "\n")
+                    n += 1
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
     return n

@@ -9,6 +9,7 @@ class SchemaError(LeapError):
     """A record, store, or value violates its schema or an invariant."""
 
     def __init__(self, message: str, *, line: int | None = None, field: str | None = None):
+        self.reason = message
         if field is not None:
             message = f"{message} (field: {field})"
         if line is not None:
@@ -16,6 +17,16 @@ class SchemaError(LeapError):
         super().__init__(message)
         self.line = line
         self.field = field
+
+    def located(self, line: int | None, path: str) -> "SchemaError":
+        """This error as raised by the value at ``path`` on ``line`` of a file.
+
+        A line the error already names is kept; its field nests under ``path``.
+        """
+        field = ".".join(p for p in (path, self.field) if p) or None
+        if self.line is not None:
+            line = self.line
+        return SchemaError(self.reason, line=line, field=field)
 
 
 class StorageError(LeapError):

@@ -192,7 +192,7 @@ class Runtime:
         self.planner = Planner(chat, templates["planner"])
         self.actor = Actor(chat, templates["actor"])
         self.critic = Critic(chat, templates["critic"])
-        self.reflector = Reflector(chat, templates["reflector"], embedder)
+        self.reflector = Reflector(chat, templates["reflector"])
 
     # --- shared execution loop -------------------------------------------
 
@@ -322,7 +322,7 @@ class Runtime:
                 )
             )
         if report.advantage < 0:
-            reflection = self.reflector.reflect_failure(claim, trajectory, decoding)
+            reflection = self.reflector.reflect_failure(claim, claim_emb, trajectory, decoding)
             memories.reflections.insert(reflection)
         return trajectory
 
@@ -391,7 +391,9 @@ class Runtime:
         correction = None
         final = strategy
         if not first.approved:
-            correction = self.reflector.reflect_strategy(claim, strategy, first, decoding)
+            correction = self.reflector.reflect_strategy(
+                claim, claim_emb, strategy, first, decoding
+            )
             if online_memory:
                 memories.reflections.insert(correction)
             final = self.planner.plan(

@@ -2,15 +2,26 @@
 
 Three stores share one mechanism: planner reflections, actor precedents, and
 critic value samples. Retrieval is exact brute-force nearest-neighbor under
-Euclidean distance; at the scales this runtime operates at (around 10^3
-records, capped by default near the point where retrieval quality degrades)
-exact search is cheap and lets tests check results against an exhaustive
-oracle. Stores allow many concurrent readers and one writer.
+Euclidean distance, the flat-index design of FAISS ``IndexFlatL2``: at the
+scales this runtime operates at (around 10^3 records, capped by default near
+the point where retrieval quality degrades) exact search is cheap and lets
+tests check results against an exhaustive oracle.
+
+Layout. Each store keeps its records in a list and their embeddings in one
+contiguous float64 matrix, row ``i`` for record ``i``, so a query is one
+vectorised distance pass. The matrix doubles as records arrive, never past
+the cap; once the store is full, each insert overwrites the oldest record's
+row, a ring buffer, so eviction moves nothing. Records keep their own
+read-only vectors, so an evicted record handed out earlier stays intact.
+
+The file form is unchanged by the layout: a header line, then one record per
+line in insertion order, each embedding written as a list of floats.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +29,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import Embedding, Record, VerificationStrategy, _check_keys, _loads_line, canonical_json
+from .core import (
+    Embedding,
+    Record,
+    VerificationStrategy,
+    _check_keys,
+    _loads_line,
+    canonical_json,
+    wire_value,
+    write_record_lines,
+)
 from .errors import SchemaError, StorageError
 
 __all__ = [
@@ -31,6 +51,12 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 1400
+
+# Rows a store's matrix starts with; it doubles as records arrive.
+_FIRST_ROWS = 64
+
+# The header line of a persisted store, field by field.
+_HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str}
 
 
 def record_id(*parts: Any) -> str:
@@ -88,25 +114,29 @@ _RECORD_TYPES: dict[str, Any] = {
 
 
 class MemoryStore:
-    """Append-only record store with exact top-k retrieval and FIFO eviction.
+    """Record store with exact top-k retrieval and FIFO eviction.
 
     ``kind`` names the record type held ("reflection", "precedent", or
     "value"). With a cap configured, inserting past it evicts the oldest
-    record. Retrieval never observes a half-inserted record: inserts and
-    snapshot reads are serialized by a lock.
+    record. Row ``i`` of the matrix holds the embedding of ``_records[i]``;
+    once the store is full, the oldest record sits at ``_head``. Inserts and
+    snapshot reads (the distance pass included) are serialized by a lock, so
+    retrieval never observes a half-inserted record or a row being reused.
     """
 
     def __init__(self, kind: str, dim: int, cap: int | None = DEFAULT_CAP):
         if kind not in _RECORD_TYPES:
-            raise SchemaError(f"unknown store kind: {kind!r}")
+            raise SchemaError(f"unknown store kind: {kind!r}", field="kind")
         if dim <= 0:
-            raise SchemaError("store dim must be positive")
+            raise SchemaError("store dim must be positive", field="dim")
         if cap is not None and cap < 1:
-            raise SchemaError("store cap must be positive or None")
+            raise SchemaError("store cap must be positive or None", field="cap")
         self.kind = kind
         self.dim = dim
         self.cap = cap
         self._records: list[Any] = []
+        self._matrix = np.empty((0, dim))
+        self._head = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -121,18 +151,39 @@ class MemoryStore:
             )
         if record.embedding.dim != self.dim:
             raise SchemaError(
-                f"record embedding dim {record.embedding.dim} does not match store dim {self.dim}"
+                f"record embedding dim {record.embedding.dim} does not match store dim {self.dim}",
+                field="embedding",
             )
         with self._lock:
-            self._records.append(record)
-            if self.cap is not None and len(self._records) > self.cap:
-                self._records.pop(0)
+            row = len(self._records)
+            if row == self.cap:  # full: the oldest record's row is reused
+                row = self._head
+                self._records[row] = record
+                self._head = (row + 1) % self.cap
+            else:
+                if row == len(self._matrix):
+                    self._grow()
+                self._records.append(record)
+            self._matrix[row] = record.embedding.vector
         return record.id
+
+    def _grow(self) -> None:
+        """Double the matrix's rows, never past the cap."""
+        rows = max(_FIRST_ROWS, 2 * len(self._matrix))
+        if self.cap is not None:
+            rows = min(rows, self.cap)
+        matrix = np.empty((rows, self.dim))
+        matrix[: len(self._matrix)] = self._matrix
+        self._matrix = matrix
 
     def records(self) -> list[Any]:
         """Snapshot of the store contents in insertion order."""
         with self._lock:
-            return list(self._records)
+            return self._in_order()
+
+    def _in_order(self) -> list[Any]:
+        # The caller holds the lock.
+        return self._records[self._head :] + self._records[: self._head]
 
     def retrieve_top_k(
         self,
@@ -143,37 +194,35 @@ class MemoryStore:
         """The k records nearest to the query by Euclidean distance.
 
         Results are sorted ascending by distance; ties break toward older
-        records. Exact exhaustive search, no approximation.
+        records. Exact exhaustive search, no approximation: one distance
+        pass over the live rows, then the predicate on the snapshot.
         """
         if k < 1:
             raise SchemaError("k must be at least 1")
         if query.dim != self.dim:
             raise SchemaError(f"query dim {query.dim} does not match store dim {self.dim}")
-        candidates = self.records()
-        if predicate is not None:
-            candidates = [r for r in candidates if predicate(r)]
-        if not candidates:
-            return []
-        matrix = np.array([r.embedding.vector for r in candidates], dtype=np.float64)
-        q = np.array(query.vector, dtype=np.float64)
-        distances = np.sqrt(((matrix - q) ** 2).sum(axis=1))
-        order = np.argsort(distances, kind="stable")
-        return [candidates[i] for i in order[:k]]
+        with self._lock:
+            head, records = self._head, self._in_order()
+            distances = np.sqrt(((self._matrix[: len(records)] - query.vector) ** 2).sum(axis=1))
+        # Rows are in ring order; rotate them into insertion order, so that a
+        # stable sort breaks ties toward older records.
+        distances = np.roll(distances, -head)
+        if predicate is None:
+            return [records[i] for i in np.argsort(distances, kind="stable")[:k]]
+        keep = np.array([i for i, r in enumerate(records) if predicate(r)], dtype=np.intp)
+        order = np.argsort(distances[keep], kind="stable")[:k]
+        return [records[i] for i in keep[order]]
 
     def persist(self, path: str | Path) -> None:
-        """Write the store to a file: one header line, then one record per line."""
-        path = Path(path)
-        header = canonical_json(
-            {"dim": self.dim, "cap": self.cap, "count": len(self._records), "kind": self.kind}
+        """Write the store to a file atomically: one header line, then one record per line."""
+        records = self.records()
+        header = {"dim": self.dim, "cap": self.cap, "count": len(records), "kind": self.kind}
+        write_record_lines(
+            path,
+            itertools.chain(
+                [canonical_json(header)], (canonical_json(r.to_dict()) for r in records)
+            ),
         )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-                for record in self.records():
-                    fh.write(canonical_json(record.to_dict()) + "\n")
-        except OSError as exc:
-            raise StorageError(f"cannot persist store to {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryStore":
@@ -186,20 +235,24 @@ class MemoryStore:
         if not lines:
             raise SchemaError("store file is empty (missing header)", line=1)
         header = _loads_line(lines[0], 1)
-        _check_keys(header, {"dim", "cap", "count", "kind"}, set(), "", 1)
-        kind = header["kind"]
-        if kind not in _RECORD_TYPES:
-            raise SchemaError(f"unknown store kind: {kind!r}", line=1, field="kind")
-        store = cls(kind=kind, dim=header["dim"], cap=header["cap"])
-        record_type = _RECORD_TYPES[kind]
+        _check_keys(header, set(_HEADER), set(), "", 1)
+        decoded = {key: wire_value(hint, header[key], key, 1) for key, hint in _HEADER.items()}
+        try:
+            store = cls(decoded["kind"], decoded["dim"], decoded["cap"])
+        except SchemaError as exc:
+            raise exc.located(1, "") from None
+        record_type = _RECORD_TYPES[store.kind]
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             record = record_type.from_dict(_loads_line(line, i), line=i)
-            store.insert(record)
-        if len(store) != header["count"]:
+            try:
+                store.insert(record)
+            except SchemaError as exc:
+                raise exc.located(i, "") from None
+        if len(store) != decoded["count"]:
             raise SchemaError(
-                f"header declares {header['count']} records, file holds {len(store)}",
+                f"header declares {decoded['count']} records, file holds {len(store)}",
                 line=1,
                 field="count",
             )

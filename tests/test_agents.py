@@ -14,6 +14,7 @@ from leap.agents import (
     PreemptiveScore,
     Reflector,
     advantage,
+    claim_key_text,
     parse_react,
     parse_react_sequence,
     parse_strategy_text,
@@ -343,7 +344,10 @@ class TestAdvantage:
 
 class TestReflector:
     def reflector(self, replies):
-        return Reflector(FakeChat(replies), _template("reflector"), HashingEmbedder(16, seed=0))
+        return Reflector(FakeChat(replies), _template("reflector"))
+
+    def claim_emb(self):
+        return HashingEmbedder(16, seed=0).embed(claim_key_text(make_claim(1)))
 
     def failed_trajectory(self):
         steps = (
@@ -354,8 +358,9 @@ class TestReflector:
 
     def test_parses_structured_reflection(self):
         record = self.reflector([reflection_reply()]).reflect_failure(
-            make_claim(1), self.failed_trajectory(), LEARN
+            make_claim(1), self.claim_emb(), self.failed_trajectory(), LEARN
         )
+        assert record.embedding == self.claim_emb()
         assert len(record.principles) == 2
         assert record.revised_strategy.plan
         assert record.key_text == f"{make_claim(1).query}\n{make_claim(1).response}"
@@ -364,13 +369,13 @@ class TestReflector:
         bad = "DIAGNOSIS: d\nPRINCIPLES:\n1. p"
         with pytest.raises(AgentFormatError, match="reflector"):
             self.reflector([bad, bad]).reflect_failure(
-                make_claim(1), self.failed_trajectory(), LEARN
+                make_claim(1), self.claim_emb(), self.failed_trajectory(), LEARN
             )
 
     def test_correction_mode_names_the_score(self):
         reflector = self.reflector([reflection_reply()])
         score = PreemptiveScore.of("ref", -0.2, 0.0)
-        reflector.reflect_strategy(make_claim(1), make_strategy(), score, LEARN)
+        reflector.reflect_strategy(make_claim(1), self.claim_emb(), make_strategy(), score, LEARN)
         prompt = reflector.chat.prompts[0]
         assert "rejected before execution" in prompt
         assert "-0.2" in prompt

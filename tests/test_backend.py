@@ -200,6 +200,17 @@ class TestDistances:
         with pytest.raises(SchemaError):
             Embedding(vector=(1.0, 2.0), dim=3)
 
+    def test_embedding_rejects_entries_that_are_not_numbers(self):
+        for values in (["x"], [[1.0, 2.0]], [{}]):
+            with pytest.raises(SchemaError, match="entries must be numbers"):
+                Embedding.of(values)
+
+    def test_equal_embeddings_hash_alike(self):
+        a, b = Embedding.of([0.0, 1.5]), Embedding((-0.0, 1.5), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != Embedding.of([0.0, 1.25]) and a != (0.0, 1.5)
+        assert len({a, b, Embedding.of([1.0])}) == 2
+
 
 class TestHttpBackend:
     def chat_payload(self, content="hi there"):
@@ -255,7 +266,7 @@ class TestHttpBackend:
         with stub_http_server([(200, payload)]) as (url, record):
             backend = HttpBackend(base_url=url, model="m", embed_model="e", embed_dim=3)
             embedding = backend.embed("abc")
-        assert embedding.vector == (0.1, 0.2, 0.3)
+        assert embedding.vector.tolist() == [0.1, 0.2, 0.3]
         sent = record["requests"][0]
         assert sent["path"] == "/embeddings"
         assert json.loads(sent["body"]) == {"model": "e", "input": "abc"}

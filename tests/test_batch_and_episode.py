@@ -85,6 +85,39 @@ def test_episode_renders_each_state_once_and_embeds_the_claim_once(monkeypatch):
 
     for module in (leap.loops, leap.agents):
         monkeypatch.setattr(module, "format_state", counting_format_state, raising=False)
+    embedded = _count_embeds(runtime)
+    trajectory = runtime.run_learning_episode(claim, Memories.fresh(DIM))
+    assert len(trajectory.steps) == 3
+    assert rendered == [0, 1, 2, 3]
+    assert embedded[claim_key_text(claim)] == 1
+
+
+def test_reflecting_episode_embeds_the_claim_once():
+    claim = make_claim(2)
+    entries = episode_entries(claim, verdict="Not Hallucination", reflection=True)
+    runtime = make_runtime(FakeChat([e["reply"] for e in entries]))
+    embedded = _count_embeds(runtime)
+    memories = Memories.fresh(DIM)
+    trajectory = runtime.run_learning_episode(claim, memories)
+    assert trajectory.advantage.advantage < 0
+    assert embedded[claim_key_text(claim)] == 1
+    [reflection], [precedent] = memories.reflections.records(), memories.precedents.records()
+    assert reflection.embedding == precedent.embedding
+
+
+def test_correcting_detection_embeds_the_claim_once():
+    claim = make_claim(3, gold=None)
+    entries = detection_entries(claim, score=-0.5, corrected=True)
+    runtime = make_runtime(FakeChat([e["reply"] for e in entries]))
+    embedded = _count_embeds(runtime)
+    result = runtime.detect(claim, Memories.fresh(DIM))
+    assert result.correction is not None
+    assert embedded[claim_key_text(claim)] == 1
+    assert result.correction.embedding == runtime.embedder.embed(claim_key_text(claim))
+
+
+def _count_embeds(runtime):
+    """Count the runtime's embed calls per text."""
     embedded = Counter()
     real_embed = runtime.embedder.embed
 
@@ -93,7 +126,4 @@ def test_episode_renders_each_state_once_and_embeds_the_claim_once(monkeypatch):
         return real_embed(text)
 
     runtime.embedder.embed = counting_embed
-    trajectory = runtime.run_learning_episode(claim, Memories.fresh(DIM))
-    assert len(trajectory.steps) == 3
-    assert rendered == [0, 1, 2, 3]
-    assert embedded[claim_key_text(claim)] == 1
+    return embedded

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import leap.memory
 
 from leap.backend import Embedding, euclidean
 from leap.errors import SchemaError, StorageError
@@ -141,6 +148,122 @@ class TestRetrieve:
             store.retrieve_top_k(Embedding.of([0.0] * DIM), 0)
 
 
+# A small dim keeps numpy's per-row sum in the same order as the oracle's.
+PROP_DIM = 4
+# No filter, then the precedent split at an advantage of 0.0.
+PREDICATES = (None, lambda r: r.advantage > 0, lambda r: r.advantage <= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cap=st.integers(1, 6),
+    pool=st.lists(
+        st.lists(st.floats(-1, 1), min_size=PROP_DIM, max_size=PROP_DIM), min_size=1, max_size=4
+    ),
+    inserts=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([-1.0, 0.0, 0.5])), min_size=1, max_size=25
+    ),
+    query=st.integers(0, 3),
+    k=st.integers(1, 8),
+)
+def test_retrieval_equals_the_oracle_after_eviction_and_ties(cap, pool, inserts, query, k):
+    """Insert sequences longer than the cap (rows are reused), duplicate
+    vectors (exact ties) and advantages on both sides of 0.0."""
+    store = MemoryStore("precedent", PROP_DIM, cap=cap)
+    inserted = []
+    for i, (v, advantage) in enumerate(inserts):
+        record = precedent(i, advantage, Embedding.of(pool[v % len(pool)]))
+        store.insert(record)
+        inserted.append(record)
+    live = inserted[-cap:]
+    assert store.records() == live
+    q = Embedding.of(pool[query % len(pool)])
+    for predicate in PREDICATES:
+        candidates = [(i, r) for i, r in enumerate(live) if predicate is None or predicate(r)]
+        ranked = sorted(candidates, key=lambda pair: (euclidean(pair[1].embedding, q), pair[0]))
+        expected = [r.id for _, r in ranked[:k]]
+        assert [r.id for r in store.retrieve_top_k(q, k, predicate)] == expected
+
+
+class TestMatrix:
+    def test_embeddings_are_read_only(self):
+        store = MemoryStore("value", DIM)
+        store.insert(value_sample(0, Embedding.of([0.5] * DIM)))
+        [got] = store.retrieve_top_k(Embedding.of([0.0] * DIM), 1)
+        with pytest.raises(ValueError):
+            got.embedding.vector[0] = 1.0
+        assert got.embedding.vector.tolist() == [0.5] * DIM
+
+    def test_embedding_owns_its_vector(self):
+        source = np.full(DIM, 0.25)
+        embedding = Embedding.of(source)
+        source[0] = 9.0
+        assert embedding.vector.tolist() == [0.25] * DIM
+
+    def test_record_keeps_its_vector_after_its_row_is_reused(self):
+        store = MemoryStore("value", DIM, cap=2)
+        first = value_sample(0, Embedding.of([1.0] * DIM))
+        store.insert(first)
+        store.insert(value_sample(1, Embedding.of([2.0] * DIM)))
+        [got] = store.retrieve_top_k(first.embedding, 1)
+        store.insert(value_sample(2, Embedding.of([3.0] * DIM)))  # reuses the first row
+        assert got is first
+        assert got.embedding.vector.tolist() == [1.0] * DIM
+        assert [r.id for r in store.records()] == ["v00001", "v00002"]
+        assert store.retrieve_top_k(first.embedding, 1)[0].id == "v00001"
+
+    @pytest.mark.parametrize("cap", [None, 50])
+    def test_concurrent_inserts_and_retrievals_keep_rows_and_records_paired(self, cap):
+        store = MemoryStore("value", DIM, cap=cap)
+        writers, per_writer, errors = 4, 1000, []
+        zeros = Embedding.of([0.0] * DIM)
+
+        def writer(w):
+            for i in range(per_writer):
+                n = w * per_writer + i
+                store.insert(value_sample(n, Embedding.of([float(n)] + [0.0] * (DIM - 1))))
+
+        def ranked_by_distance(got):
+            # The distance to zeros is a record's first entry, so the ranking sorts by it.
+            firsts = [r.embedding.vector[0] for r in got]
+            return firsts == sorted(firsts) and len({r.id for r in got}) == len(got)
+
+        def reader():
+            for _ in range(100):
+                got = store.retrieve_top_k(zeros, 10)
+                if not ranked_by_distance(got):
+                    errors.append([r.id for r in got])
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(writers)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == (cap or writers * per_writer)
+        got = store.retrieve_top_k(zeros, len(store))
+        assert ranked_by_distance(got)
+        assert {r.id for r in got} == {r.id for r in store.records()}
+
+    def test_uncapped_store_grows_past_its_first_allocation(self):
+        store = MemoryStore("value", DIM, cap=None)
+        records = [
+            value_sample(i, Embedding.of([float(i)] + [0.0] * (DIM - 1))) for i in range(300)
+        ]
+        for record in records:
+            store.insert(record)
+        assert len(store) == 300 and store.records() == records
+        for record in records[::37]:
+            assert store.retrieve_top_k(record.embedding, 1) == [record]
+
+
 class TestPersistence:
     def test_roundtrip_preserves_retrieval(self, tmp_path):
         rng = random.Random(7)
@@ -181,6 +304,71 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="count"):
             MemoryStore.load(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dim", "4"),
+            ("dim", True),
+            ("dim", 0),
+            ("cap", "x"),
+            ("cap", 0),
+            ("count", 1.5),
+            ("kind", 3),
+            ("kind", "memo"),
+        ],
+    )
+    def test_bad_header_value_names_line_1_and_the_field(self, tmp_path, field, value):
+        header = {"dim": 4, "cap": None, "count": 0, "kind": "value"}
+        header[field] = value
+        path = tmp_path / "values.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(SchemaError, match=rf"^line 1: .*\(field: {field}\)$"):
+            MemoryStore.load(path)
+
+    def test_persist_racing_a_writer_always_loads(self, tmp_path):
+        store = MemoryStore("value", DIM, cap=None)
+
+        def writer():
+            for i in range(20000):
+                store.insert(value_sample(i, Embedding.of([float(i)] * DIM)))
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        path = tmp_path / "values.jsonl"
+        persisted = 0
+        while thread.is_alive() or not persisted:
+            store.persist(path)
+            count = json.loads(path.read_text().splitlines()[0])["count"]
+            loaded = MemoryStore.load(path)
+            assert len(loaded) == count
+            assert [r.id for r in loaded.records()] == [f"v{i:05d}" for i in range(count)]
+            persisted += 1
+        thread.join()
+
+    def test_failed_persist_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        store = MemoryStore("value", DIM)
+        for i in range(5):
+            store.insert(value_sample(i, Embedding.of([0.1 * i] * DIM)))
+        path = tmp_path / "values.jsonl"
+        store.persist(path)
+        before = path.read_bytes()
+        store.insert(value_sample(5, Embedding.of([0.9] * DIM)))
+        real = leap.memory.canonical_json
+        lines = []
+
+        def failing(obj):
+            lines.append(obj)
+            if len(lines) == 4:
+                raise OSError("disk full")
+            return real(obj)
+
+        monkeypatch.setattr(leap.memory, "canonical_json", failing)
+        with pytest.raises(StorageError, match="disk full"):
+            store.persist(path)
+        assert len(lines) == 4  # the header and two records were written first
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["values.jsonl"]
 
     def test_memories_bundle_roundtrip(self, tmp_path):
         memories = Memories.fresh(DIM, cap=10)

@@ -89,13 +89,15 @@ def _set(path):
 _DELETE = object()
 
 # record type -> cases of (golden file, line to mutate, path, new value,
-# expected message, expected field path regex)
+# expected message, expected field path regex). Cases with a message that
+# names an invariant fail inside the record's own checks, after decoding.
 REJECTIONS = {
     "Claim": [
         ("claims.jsonl", 1, "response", _DELETE, "missing field", "response"),
         ("claims.jsonl", 1, "extra", 1, "unknown field", "extra"),
         ("claims.jsonl", 1, "id", True, "", "id"),
         ("claims.jsonl", 1, "gold_label", ["Hallucination"], "", "gold_label"),
+        ("claims.jsonl", 2, "id", "", "claim id must be non-empty", "id"),
     ],
     "Trajectory": [
         ("trajectories.jsonl", 1, "claim_id", _DELETE, "missing field", "claim_id"),
@@ -132,24 +134,29 @@ REJECTIONS = {
         ("trajectories.jsonl", 1, "advantage.lam", 0.1, "unknown field", r"advantage\.lam"),
         ("trajectories.jsonl", 1, "advantage.gamma", True, "", r"advantage\.gamma"),
         ("trajectories.jsonl", 1, "advantage.n_tools", 3.0, "", r"advantage\.n_tools"),
+        ("trajectories.jsonl", 1, "advantage.advantage", 9.0, "advantage does not recompute", r"advantage\.advantage"),
     ],
     "ReflectionRecord": [
         ("reflections.jsonl", 2, "embedding", _DELETE, "missing field", "embedding"),
         ("reflections.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("reflections.jsonl", 2, "embedding[0]", True, "", "embedding"),
         ("reflections.jsonl", 2, "revised_strategy.plan", "step", "", r"revised_strategy\.plan"),
+        ("reflections.jsonl", 3, "revised_strategy.plan", [], "strategy plan must have at least one step", r"revised_strategy\.plan"),
+        ("reflections.jsonl", 4, "principles", [], "reflection needs at least one principle", "principles"),
     ],
     "PrecedentRecord": [
         ("precedents.jsonl", 2, "advantage", _DELETE, "missing field", "advantage"),
         ("precedents.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("precedents.jsonl", 2, "advantage", True, "", "advantage"),
         ("precedents.jsonl", 2, "strategy.problem_type", 1, "", r"strategy\.problem_type"),
+        ("precedents.jsonl", 3, "embedding", [0.5], "record embedding dim 1 does not match store dim 4", "embedding"),
     ],
     "ValueSample": [
         ("values.jsonl", 2, "value", _DELETE, "missing field", "value"),
         ("values.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("values.jsonl", 2, "value", False, "", "value"),
         ("values.jsonl", 2, "embedding", {"0": 1.0}, "", "embedding"),
+        ("values.jsonl", 3, "embedding[1]", float("nan"), "embedding entries must be finite", "embedding"),
     ],
     "ScriptEntry": [
         ("script.jsonl", 1, "reply", _DELETE, "missing field", "reply"),
