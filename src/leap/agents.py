@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .backend import ChatMessage, ChatRequest, ChatProvider
 from .core import (
@@ -22,6 +22,7 @@ from .core import (
     Claim,
     Embedding,
     Label,
+    Record,
     StateView,
     Tool,
     TOOL_BY_NAME,
@@ -45,7 +46,6 @@ from .prompts import (
 
 __all__ = [
     "Decoding",
-    "ValueEstimate",
     "PreemptiveScore",
     "parse_react",
     "parse_react_sequence",
@@ -55,7 +55,6 @@ __all__ = [
     "Critic",
     "Reflector",
     "advantage",
-    "claim_key_text",
 ]
 
 
@@ -69,14 +68,7 @@ class Decoding:
 
 
 @dataclass(frozen=True)
-class ValueEstimate:
-    """The critic's estimate of a state's expected outcome, clamped to [-1, 1]."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class PreemptiveScore:
+class PreemptiveScore(Record):
     """Pre-execution assessment of a strategy against the correction threshold."""
 
     strategy_ref: str
@@ -96,11 +88,6 @@ class PreemptiveScore:
             threshold=threshold,
             approved=score >= threshold,
         )
-
-
-def claim_key_text(claim: Claim) -> str:
-    """The text a claim is embedded under: its query and response together."""
-    return f"{claim.query}\n{claim.response}"
 
 
 # --- ReAct surface grammar ----------------------------------------------------
@@ -304,65 +291,57 @@ def _parse_value_text(text: str) -> float:
     return value
 
 
-# --- agent plumbing --------------------------------------------------------------
+# --- the agents ------------------------------------------------------------------
 
 
-def _complete_parsed(
-    chat: ChatProvider,
-    prompt: str,
-    parse: Callable[[str], object],
-    agent: str,
-    reminder: str,
-    decoding: Decoding,
-):
-    """One completion, one optional reprompt, then an agent-format error."""
-    request = ChatRequest(
-        system_prompt="",
-        messages=(ChatMessage("user", prompt),),
-        temperature=decoding.temperature,
-        top_p=decoding.top_p,
-        max_tokens=decoding.max_tokens,
-    )
-    reply = chat.complete(request)
-    try:
-        return parse(reply)
-    except ReactParseError:
-        pass
-    retry = replace(
-        request,
-        messages=(*request.messages, ChatMessage("assistant", reply), ChatMessage("user", reminder)),
-    )
-    reply = chat.complete(retry)
-    try:
-        return parse(reply)
-    except ReactParseError as exc:
-        raise AgentFormatError(agent, str(exc)) from exc
+class _Agent:
+    """An agent's chat provider and template, and its one way to ask for a reply."""
 
-
-_PLANNER_REMINDER = (
-    "Your previous reply did not follow the required format. Answer again using "
-    "exactly the TYPE / STRATEGY / PLAN sections with numbered plan steps."
-)
-_ACTOR_REMINDER = (
-    "Your previous reply did not follow the required format. Answer again with "
-    'exactly one "Thought:" line followed by exactly one "Action:" line.'
-)
-_CRITIC_REMINDER = (
-    "Your previous reply was not a number. Reply with a single number between "
-    "-1.0 and 1.0 and nothing else."
-)
-_REFLECTOR_REMINDER = (
-    "Your previous reply did not follow the required format. Answer again using "
-    "exactly the DIAGNOSIS / PRINCIPLES / REVISED_STRATEGY sections."
-)
-
-
-class Planner:
-    """Designs a verification strategy for a claim, informed by reflections."""
+    name: str
+    # The format reminder sent with the one reprompt.
+    reminder: str
 
     def __init__(self, chat: ChatProvider, template: PromptTemplate):
         self.chat = chat
         self.template = template
+
+    def _ask(self, parse: Callable[[str], Any], decoding: Decoding, **bindings: str) -> Any:
+        """One completion, one optional reprompt, then an agent-format error."""
+        request = ChatRequest(
+            system_prompt="",
+            messages=(ChatMessage("user", self.template.render(**bindings)),),
+            temperature=decoding.temperature,
+            top_p=decoding.top_p,
+            max_tokens=decoding.max_tokens,
+        )
+        reply = self.chat.complete(request)
+        try:
+            return parse(reply)
+        except ReactParseError:
+            pass
+        retry = replace(
+            request,
+            messages=(
+                *request.messages,
+                ChatMessage("assistant", reply),
+                ChatMessage("user", self.reminder),
+            ),
+        )
+        reply = self.chat.complete(retry)
+        try:
+            return parse(reply)
+        except ReactParseError as exc:
+            raise AgentFormatError(self.name, str(exc)) from exc
+
+
+class Planner(_Agent):
+    """Designs a verification strategy for a claim, informed by reflections."""
+
+    name = "planner"
+    reminder = (
+        "Your previous reply did not follow the required format. Answer again using "
+        "exactly the TYPE / STRATEGY / PLAN sections with numbered plan steps."
+    )
 
     def plan(
         self,
@@ -371,33 +350,25 @@ class Planner:
         decoding: Decoding,
         revision_of: str | None = None,
     ) -> VerificationStrategy:
-        prompt = self.template.render(
-            claim=format_claim_block(claim), reflections=format_reflections(reflections)
-        )
-        return _complete_parsed(
-            self.chat,
-            prompt,
+        return self._ask(
             lambda text: parse_strategy_text(text, revision_of=revision_of),
-            "planner",
-            _PLANNER_REMINDER,
             decoding,
+            claim=format_claim_block(claim),
+            reflections=format_reflections(reflections),
         )
 
 
-class Actor:
+class Actor(_Agent):
     """Chooses the next (thought, action) pair while executing a strategy."""
 
-    def __init__(
-        self,
-        chat: ChatProvider,
-        template: PromptTemplate,
-        forced_verdict: Label = Label.HALLUCINATION,
-    ):
-        self.chat = chat
-        self.template = template
-        # Conservative default: an episode that runs out of budget flags the
-        # claim rather than quietly clearing it.
-        self.forced_verdict = forced_verdict
+    name = "actor"
+    reminder = (
+        "Your previous reply did not follow the required format. Answer again with "
+        'exactly one "Thought:" line followed by exactly one "Action:" line.'
+    )
+    # Conservative: an episode that runs out of budget flags the claim rather
+    # than quietly clearing it.
+    forced_verdict = Label.HALLUCINATION
 
     def act(
         self,
@@ -415,36 +386,31 @@ class Actor:
                 "Step limit reached; recording a terminal verdict.",
                 Action(tool=Tool.GET_ANSWER, args=(self.forced_verdict.value, "MAX_STEPS")),
             )
-        prompt = self.template.render(
+        return self._ask(
+            parse_react,
+            decoding,
             claim=format_claim_block(state.claim),
             strategy=format_strategy(strategy),
             history=format_history(state.steps),
             precedents_pos=format_precedents(precedents_pos),
             precedents_neg=format_precedents(precedents_neg),
         )
-        return _complete_parsed(
-            self.chat, prompt, parse_react, "actor", _ACTOR_REMINDER, decoding
-        )
 
 
-class Critic:
+class Critic(_Agent):
     """Estimates state values and pre-scores strategies against a threshold."""
 
-    def __init__(self, chat: ChatProvider, template: PromptTemplate):
-        self.chat = chat
-        self.template = template
+    name = "critic"
+    reminder = (
+        "Your previous reply was not a number. Reply with a single number between "
+        "-1.0 and 1.0 and nothing else."
+    )
 
     def estimate_value(
         self, state_text: str, value_samples: Sequence[ValueSample], decoding: Decoding
-    ) -> ValueEstimate:
-        """Value a state given as its ``format_state`` rendering."""
-        prompt = self.template.render(
-            state=state_text, examples=format_value_examples(value_samples)
-        )
-        raw = _complete_parsed(
-            self.chat, prompt, _parse_value_text, "critic", _CRITIC_REMINDER, decoding
-        )
-        return ValueEstimate(value=min(1.0, max(-1.0, raw)))
+    ) -> float:
+        """Value a state given as its ``format_state`` rendering, clamped to [-1, 1]."""
+        return min(1.0, max(-1.0, self._value(state_text, value_samples, decoding)))
 
     def preemptive_score(
         self,
@@ -458,21 +424,24 @@ class Critic:
             f"{format_claim_block(claim)}\n\n"
             f"Proposed strategy (not yet executed):\n{format_strategy(strategy)}"
         )
-        prompt = self.template.render(
-            state=state_text, examples=format_value_examples(value_samples)
-        )
-        raw = _complete_parsed(
-            self.chat, prompt, _parse_value_text, "critic", _CRITIC_REMINDER, decoding
-        )
+        raw = self._value(state_text, value_samples, decoding)
         return PreemptiveScore.of(strategy_id(strategy), raw, threshold)
 
+    def _value(
+        self, state_text: str, value_samples: Sequence[ValueSample], decoding: Decoding
+    ) -> float:
+        examples = format_value_examples(value_samples)
+        return self._ask(_parse_value_text, decoding, state=state_text, examples=examples)
 
-class Reflector:
+
+class Reflector(_Agent):
     """Turns failures into reflection records that feed back into planning."""
 
-    def __init__(self, chat: ChatProvider, template: PromptTemplate):
-        self.chat = chat
-        self.template = template
+    name = "reflector"
+    reminder = (
+        "Your previous reply did not follow the required format. Answer again using "
+        "exactly the DIAGNOSIS / PRINCIPLES / REVISED_STRATEGY sections."
+    )
 
     def reflect_failure(
         self, claim: Claim, claim_emb: Embedding, trajectory: Trajectory, decoding: Decoding
@@ -511,11 +480,10 @@ class Reflector:
         self, claim: Claim, claim_emb: Embedding, failure: str, decoding: Decoding
     ) -> ReflectionRecord:
         """A reflection keyed by the claim's embedding, which the caller already holds."""
-        prompt = self.template.render(claim=format_claim_block(claim), failure=failure)
-        diagnosis, principles, revised = _complete_parsed(
-            self.chat, prompt, parse_reflection_text, "reflector", _REFLECTOR_REMINDER, decoding
+        key_text = format_claim_block(claim)
+        diagnosis, principles, revised = self._ask(
+            parse_reflection_text, decoding, claim=key_text, failure=failure
         )
-        key_text = claim_key_text(claim)
         return ReflectionRecord(
             id=record_id("reflection", key_text, diagnosis, list(principles), revised.to_dict()),
             key_text=key_text,

@@ -23,6 +23,11 @@ __all__ = ["evaluate"]
 
 _OPERATOR_CHARS = "+-*/%^()"
 
+# How deeply parentheses, unary minus signs and exponents may nest. Each level
+# costs the parser a few stack frames, so an unbounded formula would exhaust
+# the interpreter's stack instead of failing with a CalculatorError.
+_MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -67,6 +72,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -102,11 +108,19 @@ class _Parser:
         return value
 
     def factor(self) -> float:
+        # '(' and '^' lead back here, as does unary minus: this bounds all nesting.
         token = self.peek()
+        if self.depth == _MAX_DEPTH:
+            message = f"formula nests deeper than {_MAX_DEPTH} levels"
+            raise CalculatorError(message, column=token.column)
+        self.depth += 1
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return -self.factor()
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> float:
         value = self.atom()

@@ -21,7 +21,7 @@ from pathlib import Path
 from .agents import Decoding
 from .backend import HashingEmbedder, HttpBackend, ScriptedProvider
 from .config import Config, config_hash, default_config, load_config
-from .core import TOOL_BY_NAME, Action, load_trajectories
+from .core import TOOL_BY_NAME, Action, load_trajectories, write_record_lines
 from .errors import ConfigError, DatasetFormatError, LeapError
 from .evaluation import (
     DATASET_FORMATS,
@@ -246,8 +246,8 @@ def cmd_eval(args) -> int:
     report = build_report(Path(args.dataset).stem, per_claim)
     text = render_report(report, args.report_format)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+        # Either format ends in exactly one newline on disk.
+        write_record_lines(args.out, [text.removesuffix("\n")])
     else:
         sys.stdout.write(text)
     return 0

@@ -10,7 +10,8 @@ The wire rule. A ``Record``'s wire form is derived from its dataclass: one
 key per field, in field order, named after the field unless ``WIRE_KEYS``
 renames it (``lam`` is written ``lambda``). A ``None`` value is left out.
 Enums are written as their value, tuples as lists, nested records as
-objects and an ``Embedding`` as a list of floats. On input, a field without
+objects and an ``Embedding`` as the base64 text of its entries as
+little-endian float64s, which keeps every bit. On input, a field without
 a default is required and a field with a default is optional, unknown keys
 are rejected, and ``wire_value`` checks each value against the field's
 annotation; the config loader uses the same checker. Errors carry the line
@@ -19,6 +20,7 @@ number and the field path, e.g. ``steps[1].action.tool``.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -51,7 +53,6 @@ __all__ = [
     "Trajectory",
     "StateView",
     "parse_verdict_label",
-    "state_at",
     "count_tool_calls",
     "advantage_value",
     "strategy_id",
@@ -241,13 +242,12 @@ def _checker(hint: Any) -> Callable[[Any, str, int | None], Any]:
     if hint is Embedding:
 
         def embedding(v: Any, field: str, line: int | None) -> Embedding:
-            numbers = isinstance(v, list) and (
-                set(map(type, v)) <= {int, float} or all(map(_is_number, v))
-            )
-            if not numbers:
+            try:
+                vector = np.frombuffer(base64.b64decode(v, validate=True), "<f8")
+            except (TypeError, ValueError):  # not text, not base64, or not whole float64s
                 bad(field, line)
             try:
-                return Embedding.of(v)
+                return Embedding(vector, vector.size)
             except SchemaError as exc:
                 raise exc.located(line, field) from None
 
@@ -304,7 +304,7 @@ def _describe(hint: Any) -> str:
     if hint in _PLAIN:
         return _PLAIN[hint]
     if hint is Embedding:
-        return "a list of numbers"
+        return "base64 little-endian float64s"
     if isinstance(hint, type) and issubclass(hint, Enum):
         return f"one of {[m.value for m in hint]}"
     if isinstance(hint, type) and issubclass(hint, Record):
@@ -320,7 +320,7 @@ def _wire(value: Any) -> Any:
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, Embedding):
-        return value.vector.tolist()
+        return base64.b64encode(value.vector.astype("<f8", copy=False).tobytes()).decode("ascii")
     if isinstance(value, tuple):
         return [v if type(v) in _PLAIN else _wire(v) for v in value]
     if isinstance(value, Enum):
@@ -509,19 +509,6 @@ class StateView:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-
-
-def state_at(claim: Claim, trajectory: Trajectory, n: int) -> StateView:
-    """State after the first ``n`` steps of a trajectory.
-
-    ``state_at(claim, t, 0)`` is the initial state: the claim alone. The
-    claim is passed explicitly because trajectories store only the claim id.
-    """
-    if not 0 <= n <= len(trajectory.steps):
-        raise IndexError(
-            f"state index {n} out of range for trajectory with {len(trajectory.steps)} steps"
-        )
-    return StateView(claim=claim, steps=trajectory.steps[:n])
 
 
 def count_tool_calls(trajectory: Trajectory) -> int:

@@ -18,8 +18,8 @@ from .core import (
     Record,
     _check_keys,
     _loads_line,
-    canonical_json,
     load_claims,
+    serialize,
     wire_value,
 )
 from .errors import DatasetFormatError, SchemaError, StorageError
@@ -35,7 +35,6 @@ __all__ = [
     "compute_metrics",
     "build_report",
     "render_report",
-    "render_summary",
     "parse_report",
 ]
 
@@ -254,16 +253,19 @@ class PerClaim(Record):
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     dataset: str
     n: int
     accuracy: float
     f1: float
     confusion: Confusion
+    positive_class: str = Label.HALLUCINATION.value
     per_claim: tuple[PerClaim, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_claim", tuple(self.per_claim))
+        if self.positive_class != Label.HALLUCINATION.value:
+            raise SchemaError(f"expected {Label.HALLUCINATION.value!r}", field="positive_class")
         total = self.confusion.tp + self.confusion.fp + self.confusion.tn + self.confusion.fn
         if total != self.n:
             raise SchemaError(f"confusion cells sum to {total}, n is {self.n}")
@@ -286,24 +288,14 @@ def build_report(dataset: str, per_claim: Sequence[PerClaim]) -> EvalReport:
 def render_report(report: EvalReport, format: str = "text_table") -> str:
     """Render a report: an aligned text table or one machine-readable line."""
     if format == "machine":
-        return canonical_json(
-            {
-                "dataset": report.dataset,
-                "n": report.n,
-                "accuracy": report.accuracy,
-                "f1": report.f1,
-                "confusion": report.confusion.to_dict(),
-                "positive_class": Label.HALLUCINATION.value,
-                "per_claim": [p.to_dict() for p in report.per_claim],
-            }
-        )
+        return serialize(report)
     if format != "text_table":
         raise SchemaError(f"unknown report format: {format!r}")
     cell = f"{report.accuracy * 100:.2f} / {report.f1 * 100:.2f}"
     name_width = max(len("dataset"), len(report.dataset))
     c = report.confusion
     lines = [
-        f"positive class: {Label.HALLUCINATION.value}",
+        f"positive class: {report.positive_class}",
         f"{'dataset'.ljust(name_width)}  {'n':>6}  Acc / F1",
         f"{report.dataset.ljust(name_width)}  {report.n:>6}  {cell}",
         f"confusion: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}",
@@ -311,37 +303,10 @@ def render_report(report: EvalReport, format: str = "text_table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_summary(reports: Sequence[EvalReport]) -> str:
-    """Multi-dataset table with an Avg row: the simple mean of per-dataset scores."""
-    if not reports:
-        raise SchemaError("render_summary needs at least one report")
-    name_width = max(len("dataset"), *(len(r.dataset) for r in reports), len("Avg."))
-    lines = [
-        f"positive class: {Label.HALLUCINATION.value}",
-        f"{'dataset'.ljust(name_width)}  {'n':>6}  Acc / F1",
-    ]
-    for report in reports:
-        cell = f"{report.accuracy * 100:.2f} / {report.f1 * 100:.2f}"
-        lines.append(f"{report.dataset.ljust(name_width)}  {report.n:>6}  {cell}")
-    mean_acc = sum(r.accuracy for r in reports) / len(reports)
-    mean_f1 = sum(r.f1 for r in reports) / len(reports)
-    total = sum(r.n for r in reports)
-    lines.append(f"{'Avg.'.ljust(name_width)}  {total:>6}  {mean_acc * 100:.2f} / {mean_f1 * 100:.2f}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_report(text: str) -> EvalReport:
     """Parse a machine-format report line back into an EvalReport."""
     obj = _loads_line(text, None)
+    # Every key is required on the wire, although the dataclass defaults two.
     keys = {"dataset", "n", "accuracy", "f1", "confusion", "positive_class", "per_claim"}
     _check_keys(obj, keys, set(), "", None)
-    if obj["positive_class"] != Label.HALLUCINATION.value:
-        raise SchemaError(f"expected {Label.HALLUCINATION.value!r}", field="positive_class")
-    return EvalReport(
-        dataset=wire_value(str, obj["dataset"], "dataset", None),
-        n=wire_value(int, obj["n"], "n", None),
-        accuracy=wire_value(float, obj["accuracy"], "accuracy", None),
-        f1=wire_value(float, obj["f1"], "f1", None),
-        confusion=Confusion.from_dict(obj["confusion"], "confusion"),
-        per_claim=wire_value(tuple[PerClaim, ...], obj["per_claim"], "per_claim", None),
-    )
+    return EvalReport.from_dict(obj)

@@ -27,13 +27,13 @@ from .agents import (
     PreemptiveScore,
     Reflector,
     advantage,
-    claim_key_text,
 )
 from .backend import ChatProvider, Embedder
 from .core import (
     Claim,
     Embedding,
     Label,
+    Record,
     StateView,
     Step,
     Tool,
@@ -58,6 +58,7 @@ __all__ = [
     "ExpertRecord",
     "ExpertDataset",
     "RunReport",
+    "VerdictRecord",
     "DetectionResult",
     "Runtime",
     "terminal_reward",
@@ -145,6 +146,18 @@ class RunReport:
 
 
 @dataclass(frozen=True)
+class VerdictRecord(Record):
+    """One line of ``verdicts.jsonl``: a detection's outcome and its audit trail."""
+
+    claim_id: str
+    verdict: Verdict
+    corrected: bool
+    scores: tuple[PreemptiveScore, ...]
+    trajectory_id: str
+    n_steps: int
+
+
+@dataclass(frozen=True)
 class DetectionResult:
     """Verdict plus everything worth auditing about how it was reached."""
 
@@ -158,15 +171,15 @@ class DetectionResult:
     def corrected(self) -> bool:
         return self.correction is not None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "verdict": self.verdict.to_dict(),
-            "corrected": self.corrected,
-            "scores": [asdict(s) for s in self.scores],
-            "trajectory_id": self.trajectory.id,
-            "n_steps": len(self.trajectory.steps),
-        }
+    def record(self) -> VerdictRecord:
+        return VerdictRecord(
+            claim_id=self.claim_id,
+            verdict=self.verdict,
+            corrected=self.corrected,
+            scores=self.scores,
+            trajectory_id=self.trajectory.id,
+            n_steps=len(self.trajectory.steps),
+        )
 
 
 class Runtime:
@@ -275,17 +288,19 @@ class Runtime:
         if claim.gold_label is None:
             raise SchemaError(f"claim {claim.id} has no gold label; learning requires one")
         decoding = self.decoding_learn
-        key_text = claim_key_text(claim)
+        key_text = format_claim_block(claim)
         claim_emb = self.embedder.embed(key_text)
         reflections = memories.reflections.retrieve_top_k(claim_emb, self.config.k_reflections)
         strategy = self.planner.plan(claim, reflections, decoding)
         steps, verdict = self._execute(claim, claim_emb, strategy, memories, decoding)
 
         # Value every state s_0 .. s_N; the advantage reads V(s_0) and V(s_1).
+        # s_0 is the claim alone, so its summary is the key text and its
+        # embedding the claim's, the one detection queries the values with.
         estimates = []
         for n in range(len(steps) + 1):
             summary = format_state(claim, steps[:n])
-            emb = self.embedder.embed(summary)
+            emb = self.embedder.embed(summary) if n else claim_emb
             samples = memories.values.retrieve_top_k(emb, self.config.k_reflections)
             estimate = self.critic.estimate_value(summary, samples, decoding)
             estimates.append((summary, emb, estimate))
@@ -297,8 +312,8 @@ class Runtime:
             r_terminal=r_t,
             gamma=self.config.gamma,
             lam=self.config.lam,
-            v_curr=estimates[0][2].value,
-            v_next=estimates[1][2].value,
+            v_curr=estimates[0][2],
+            v_next=estimates[1][2],
         )
         # The id does not cover the advantage report, so attaching it keeps the id.
         trajectory = replace(trajectory, advantage=report)
@@ -312,12 +327,12 @@ class Runtime:
                 embedding=claim_emb,
             )
         )
-        for summary, emb, estimate in estimates:
+        for summary, emb, value in estimates:
             memories.values.insert(
                 ValueSample(
-                    id=record_id("value", summary, estimate.value),
+                    id=record_id("value", summary, value),
                     state_summary=summary,
-                    value=estimate.value,
+                    value=value,
                     embedding=emb,
                 )
             )
@@ -381,7 +396,7 @@ class Runtime:
         case correction reflections are kept for later claims.
         """
         decoding = self.decoding_eval
-        claim_emb = self.embedder.embed(claim_key_text(claim))
+        claim_emb = self.embedder.embed(format_claim_block(claim))
         reflections = memories.reflections.retrieve_top_k(claim_emb, self.config.k_reflections)
         strategy = self.planner.plan(claim, reflections, decoding)
         samples = memories.values.retrieve_top_k(claim_emb, self.config.k_reflections)
@@ -430,7 +445,7 @@ class Runtime:
         )
         # An interrupted batch still writes the verdicts that finished.
         if out_path is not None:
-            write_record_lines(out_path, (canonical_json(r.to_dict()) for r in completed))
+            write_record_lines(out_path, (serialize(r.record()) for r in completed))
         if interrupted:
             raise KeyboardInterrupt
         return completed, failures

@@ -14,8 +14,10 @@ the cap; once the store is full, each insert overwrites the oldest record's
 row, a ring buffer, so eviction moves nothing. Records keep their own
 read-only vectors, so an evicted record handed out earlier stays intact.
 
-The file form is unchanged by the layout: a header line, then one record per
-line in insertion order, each embedding written as a list of floats.
+The file form does not depend on the layout: a header line, then one record
+per line in insertion order, each embedding written as the base64 text of its
+little-endian float64 entries. Loading reads the file a line at a time, so a
+store's text is never held whole.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def record_id(*parts: Any) -> str:
 class ReflectionRecord(Record):
     """A stored failure analysis: diagnosis, principles, and a revised strategy.
 
-    ``key_text`` is the failed claim's query+response concatenation, so the
-    record lives in claim space and ranks against new claims by distance.
+    ``key_text`` is the failed claim's block as the agents see it
+    (``format_claim_block``), so the record lives in claim space and ranks
+    against new claims by distance.
     """
 
     id: str
@@ -106,7 +109,9 @@ class ValueSample(Record):
     embedding: Embedding
 
 
-_RECORD_TYPES: dict[str, Any] = {
+# Store kind -> the record type it holds. The kind's plural names both the
+# ``Memories`` field and the store's file.
+_KINDS: dict[str, Any] = {
     "reflection": ReflectionRecord,
     "precedent": PrecedentRecord,
     "value": ValueSample,
@@ -125,7 +130,7 @@ class MemoryStore:
     """
 
     def __init__(self, kind: str, dim: int, cap: int | None = DEFAULT_CAP):
-        if kind not in _RECORD_TYPES:
+        if kind not in _KINDS:
             raise SchemaError(f"unknown store kind: {kind!r}", field="kind")
         if dim <= 0:
             raise SchemaError("store dim must be positive", field="dim")
@@ -144,7 +149,7 @@ class MemoryStore:
 
     def insert(self, record: Any) -> str:
         """Add a record, evicting the oldest one if the cap is exceeded."""
-        expected = _RECORD_TYPES[self.kind]
+        expected = _KINDS[self.kind]
         if not isinstance(record, expected):
             raise SchemaError(
                 f"{self.kind} store cannot hold {type(record).__name__}", field="record"
@@ -226,30 +231,32 @@ class MemoryStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryStore":
+        """Read a persisted store a line at a time, checking every line."""
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            lines = path.open(encoding="utf-8")
         except OSError as exc:
             raise StorageError(f"cannot load store from {path}: {exc}") from exc
-        lines = text.splitlines()
-        if not lines:
-            raise SchemaError("store file is empty (missing header)", line=1)
-        header = _loads_line(lines[0], 1)
-        _check_keys(header, set(_HEADER), set(), "", 1)
-        decoded = {key: wire_value(hint, header[key], key, 1) for key, hint in _HEADER.items()}
-        try:
-            store = cls(decoded["kind"], decoded["dim"], decoded["cap"])
-        except SchemaError as exc:
-            raise exc.located(1, "") from None
-        record_type = _RECORD_TYPES[store.kind]
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            record = record_type.from_dict(_loads_line(line, i), line=i)
+        with lines:
+            first = next(lines, None)
+            if first is None:
+                raise SchemaError("store file is empty (missing header)", line=1)
+            header = _loads_line(first, 1)
+            _check_keys(header, set(_HEADER), set(), "", 1)
+            decoded = {key: wire_value(hint, header[key], key, 1) for key, hint in _HEADER.items()}
             try:
-                store.insert(record)
+                store = cls(decoded["kind"], decoded["dim"], decoded["cap"])
             except SchemaError as exc:
-                raise exc.located(i, "") from None
+                raise exc.located(1, "") from None
+            record_type = _KINDS[store.kind]
+            for i, line in enumerate(lines, start=2):
+                if not line.strip():
+                    continue
+                record = record_type.from_dict(_loads_line(line, i), line=i)
+                try:
+                    store.insert(record)
+                except SchemaError as exc:
+                    raise exc.located(i, "") from None
         if len(store) != decoded["count"]:
             raise SchemaError(
                 f"header declares {decoded['count']} records, file holds {len(store)}",
@@ -257,13 +264,6 @@ class MemoryStore:
                 field="count",
             )
         return store
-
-
-_STORE_FILES = {
-    "reflections": "reflection",
-    "precedents": "precedent",
-    "values": "value",
-}
 
 
 @dataclass
@@ -276,26 +276,22 @@ class Memories:
 
     @classmethod
     def fresh(cls, dim: int, cap: int | None = DEFAULT_CAP) -> "Memories":
-        return cls(
-            reflections=MemoryStore("reflection", dim, cap),
-            precedents=MemoryStore("precedent", dim, cap),
-            values=MemoryStore("value", dim, cap),
-        )
+        return cls(**{f"{kind}s": MemoryStore(kind, dim, cap) for kind in _KINDS})
 
     def persist(self, directory: str | Path) -> None:
         directory = Path(directory)
-        for name in _STORE_FILES:
-            getattr(self, name).persist(directory / f"{name}.jsonl")
+        for kind in _KINDS:
+            getattr(self, f"{kind}s").persist(directory / f"{kind}s.jsonl")
 
     @classmethod
     def load(cls, directory: str | Path) -> "Memories":
         directory = Path(directory)
         stores = {}
-        for name, kind in _STORE_FILES.items():
-            store = MemoryStore.load(directory / f"{name}.jsonl")
+        for kind in _KINDS:
+            store = MemoryStore.load(directory / f"{kind}s.jsonl")
             if store.kind != kind:
-                raise SchemaError(f"{name}.jsonl holds kind {store.kind!r}, expected {kind!r}")
-            stores[name] = store
+                raise SchemaError(f"{kind}s.jsonl holds kind {store.kind!r}, expected {kind!r}")
+            stores[f"{kind}s"] = store
         return cls(**stores)
 
     @classmethod

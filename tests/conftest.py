@@ -14,7 +14,7 @@ import pytest
 from leap.backend import ChatRequest, HashingEmbedder
 from leap.core import Claim, Label, VerificationStrategy
 from leap.loops import LearningConfig, Runtime
-from leap.prompts import load_templates
+from leap.prompts import format_strategy, load_templates
 from leap.tools import FixtureSearch, Toolbox
 
 
@@ -71,9 +71,7 @@ def make_strategy(plan=("search the subject",), revision_of=None) -> Verificatio
 
 
 def strategy_reply(problem_type="factual", strategy="verify the key fact", plan=("search the subject",)):
-    lines = [f"TYPE: {problem_type}", f"STRATEGY: {strategy}", "PLAN:"]
-    lines.extend(f"{i}. {step}" for i, step in enumerate(plan, start=1))
-    return "\n".join(lines)
+    return format_strategy(VerificationStrategy(problem_type, strategy, tuple(plan)))
 
 
 def reflection_reply(
@@ -288,6 +286,7 @@ def stub_http_server(script):
         yield f"http://127.0.0.1:{server.server_port}", record
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

@@ -14,7 +14,6 @@ from leap.agents import (
     PreemptiveScore,
     Reflector,
     advantage,
-    claim_key_text,
     parse_react,
     parse_react_sequence,
     parse_strategy_text,
@@ -28,13 +27,14 @@ from leap.core import (
     Tool,
     Trajectory,
     Verdict,
+    VerificationStrategy,
     advantage_value,
     render_action,
     strategy_id,
 )
 from leap.errors import AgentFormatError, ReactParseError, SchemaError
 from leap.memory import ValueSample
-from leap.prompts import format_state
+from leap.prompts import format_claim_block, format_state, format_strategy
 
 from conftest import FakeChat, make_claim, make_strategy, reflection_reply, strategy_reply
 
@@ -125,6 +125,14 @@ class TestParseReact:
             parse_react_sequence('Action: calculator("1")\nThought: t\nAction: calculator("2")')
 
 
+# One line of text, without edge whitespace: the field shape the grammar keeps.
+_LINE = (
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1)
+    .map(str.strip)
+    .filter(bool)
+)
+
+
 class TestStrategyGrammar:
     def test_spec_example(self):
         reply = "TYPE: factual\nSTRATEGY: verify family\nPLAN:\n1. search species\n2. check family"
@@ -144,6 +152,13 @@ class TestStrategyGrammar:
     def test_multiline_strategy_section(self):
         reply = "TYPE: t\nSTRATEGY: first line\nsecond line\nPLAN:\n1. go"
         assert parse_strategy_text(reply).high_level_strategy == "first line\nsecond line"
+
+    @given(_LINE, _LINE, st.lists(_LINE, min_size=1, max_size=4))
+    def test_rendered_strategy_parses_back(self, problem_type, approach, plan):
+        # The test fakes render their replies with format_strategy, so they
+        # cannot drift from the parser.
+        strategy = VerificationStrategy(problem_type, approach, tuple(plan))
+        assert parse_strategy_text(format_strategy(strategy)) == strategy
 
 
 class TestPlanner:
@@ -242,12 +257,12 @@ class TestCritic:
 
     def test_parses_number(self):
         estimate, chat = self.estimate(["0.7"])
-        assert estimate.value == 0.7
+        assert estimate == 0.7
         assert len(chat.requests) == 1
 
     def test_clamps_into_unit_interval(self):
-        assert self.estimate(["1.5"])[0].value == 1.0
-        assert self.estimate(["-7"])[0].value == -1.0
+        assert self.estimate(["1.5"])[0] == 1.0
+        assert self.estimate(["-7"])[0] == -1.0
 
     def test_non_numeric_reprompts_then_fails(self):
         with pytest.raises(AgentFormatError, match="critic"):
@@ -347,7 +362,7 @@ class TestReflector:
         return Reflector(FakeChat(replies), _template("reflector"))
 
     def claim_emb(self):
-        return HashingEmbedder(16, seed=0).embed(claim_key_text(make_claim(1)))
+        return HashingEmbedder(16, seed=0).embed(format_claim_block(make_claim(1)))
 
     def failed_trajectory(self):
         steps = (
@@ -363,7 +378,7 @@ class TestReflector:
         assert record.embedding == self.claim_emb()
         assert len(record.principles) == 2
         assert record.revised_strategy.plan
-        assert record.key_text == f"{make_claim(1).query}\n{make_claim(1).response}"
+        assert record.key_text == format_claim_block(make_claim(1))
 
     def test_missing_revised_strategy_fails_after_reprompt(self):
         bad = "DIAGNOSIS: d\nPRINCIPLES:\n1. p"

@@ -11,10 +11,10 @@ import pytest
 
 import leap.agents
 import leap.loops
-from leap.agents import claim_key_text
 from leap.backend import ScriptedProvider, ScriptEntry
 from leap.errors import AgentFormatError
 from leap.memory import Memories
+from leap.prompts import format_claim_block
 
 from conftest import DIM, FakeChat, detection_entries, episode_entries, make_claim, make_runtime
 
@@ -89,7 +89,8 @@ def test_episode_renders_each_state_once_and_embeds_the_claim_once(monkeypatch):
     trajectory = runtime.run_learning_episode(claim, Memories.fresh(DIM))
     assert len(trajectory.steps) == 3
     assert rendered == [0, 1, 2, 3]
-    assert embedded[claim_key_text(claim)] == 1
+    assert embedded[format_claim_block(claim)] == 1
+    assert sum(embedded.values()) == 4  # the claim, which is also s_0, then s_1 .. s_3
 
 
 def test_reflecting_episode_embeds_the_claim_once():
@@ -100,7 +101,7 @@ def test_reflecting_episode_embeds_the_claim_once():
     memories = Memories.fresh(DIM)
     trajectory = runtime.run_learning_episode(claim, memories)
     assert trajectory.advantage.advantage < 0
-    assert embedded[claim_key_text(claim)] == 1
+    assert embedded[format_claim_block(claim)] == 1
     [reflection], [precedent] = memories.reflections.records(), memories.precedents.records()
     assert reflection.embedding == precedent.embedding
 
@@ -112,8 +113,23 @@ def test_correcting_detection_embeds_the_claim_once():
     embedded = _count_embeds(runtime)
     result = runtime.detect(claim, Memories.fresh(DIM))
     assert result.correction is not None
-    assert embedded[claim_key_text(claim)] == 1
-    assert result.correction.embedding == runtime.embedder.embed(claim_key_text(claim))
+    assert embedded[format_claim_block(claim)] == 1
+    assert result.correction.embedding == runtime.embedder.embed(format_claim_block(claim))
+
+
+def test_detection_queries_the_values_with_the_claims_own_s0_sample():
+    claim = make_claim(4)
+    memories = Memories.fresh(DIM)
+    learn = make_runtime(FakeChat([e["reply"] for e in episode_entries(claim)]))
+    learn.run_learning_episode(claim, memories)
+    s0 = memories.values.records()[0]
+    queries = []
+    retrieve = memories.values.retrieve_top_k
+    memories.values.retrieve_top_k = lambda query, k: queries.append(query) or retrieve(query, k)
+    detect = make_runtime(FakeChat([e["reply"] for e in detection_entries(claim)]))
+    detect.detect(claim, memories)
+    assert s0.state_summary == format_claim_block(claim)
+    assert queries == [s0.embedding]
 
 
 def _count_embeds(runtime):

@@ -55,6 +55,10 @@ class TestErrors:
             ("2 $ 2", 3),
             ("", 1),
             ("1..2", 3),
+            # Nesting past 100 levels fails where the 101st level opens.
+            pytest.param("(" * 5000 + "1" + ")" * 5000, 101, id="5000 parentheses"),
+            pytest.param("-" * 5000 + "1", 101, id="5000 minus signs"),
+            pytest.param("2^" * 3000 + "2", 201, id="3000 exponents"),
         ],
     )
     def test_syntax_errors_carry_column(self, formula, column):

@@ -22,9 +22,9 @@ from test_wire import GOLDEN, REJECTIONS, ROUND_TRIPS
 
 
 def test_every_record_type_has_rejection_cases():
-    for module in ("backend", "evaluation", "memory"):
+    for module in ("agents", "backend", "evaluation", "loops", "memory"):
         importlib.import_module(f"leap.{module}")
-    assert {cls.__name__ for cls in Record.__subclasses__()} == set(REJECTIONS) - {"EvalReport"}
+    assert {cls.__name__ for cls in Record.__subclasses__()} == set(REJECTIONS)
 
 
 @pytest.mark.parametrize("name", ["claims.jsonl", "trajectories.jsonl", "script.jsonl"])
@@ -45,7 +45,7 @@ def test_codec_writes_the_golden_lines(name):
         (str | int, 7, 7),
         (Label, "NotHallucination", Label.NOT_HALLUCINATION),
         (tuple[str, ...], ["a", "b"], ("a", "b")),
-        (Embedding, [1, 0.5], Embedding((1.0, 0.5), 2)),
+        (Embedding, "AAAAAAAA8D8AAAAAAADgPw==", Embedding((1.0, 0.5), 2)),  # 1.0, 0.5
         (Verdict | None, {"label": "Hallucination"}, Verdict(Label.HALLUCINATION)),
     ],
 )
@@ -66,8 +66,10 @@ def test_wire_value_accepts_and_converts(hint, value, expected):
         (tuple[str | int, ...], ["a", False], r"expected a string or an integer \(field: f\[1\]\)"),
         (tuple[str, ...], "ab", r"expected a list \(field: f\)"),
         (Verdict | None, {"label": "x"}, r"\(field: f\.label\)"),
-        (Embedding, [0.5, "1"], r"expected a list of numbers \(field: f\)"),
-        (Embedding, [0.5, float("nan")], "finite"),
+        (Embedding, [0.5, 1.0], r"expected base64 little-endian float64s \(field: f\)"),
+        (Embedding, "AAAA*AAA", r"expected base64 little-endian float64s \(field: f\)"),
+        (Embedding, "AAAAAAAAAAAAAAAA", r"expected base64 little-endian float64s \(field: f\)"),
+        (Embedding, "AAAAAAAA4D8AAAAAAAD4fw==", r"embedding entries must be finite \(field: f\)"),
     ],
 )
 def test_wire_value_rejects(hint, value, message):

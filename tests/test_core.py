@@ -26,7 +26,6 @@ from leap.core import (
     load_claims,
     parse_verdict_label,
     serialize,
-    state_at,
     write_claims,
 )
 from leap.errors import IncompleteTrajectoryError, SchemaError
@@ -45,31 +44,6 @@ def make_steps():
 def make_trajectory(steps=None, verdict=Verdict(Label.HALLUCINATION), claim_id="claim-001"):
     steps = make_steps() if steps is None else steps
     return Trajectory.build(claim_id, make_strategy(), steps, verdict)
-
-
-class TestStateAt:
-    def test_initial_state_is_claim_only(self):
-        claim = make_claim(1)
-        view = state_at(claim, make_trajectory(), 0)
-        assert view.claim == claim
-        assert view.steps == ()
-
-    def test_full_prefix(self):
-        trajectory = make_trajectory()
-        view = state_at(make_claim(1), trajectory, 3)
-        assert view.steps == trajectory.steps
-
-    def test_out_of_range_names_index_and_length(self):
-        with pytest.raises(IndexError, match=r"4.*3"):
-            state_at(make_claim(1), make_trajectory(), 4)
-
-    def test_monotonic_under_append(self):
-        claim = make_claim(1)
-        steps = make_steps()
-        shorter = make_trajectory(steps=steps[:2], verdict=None)
-        longer = make_trajectory(steps=steps, verdict=None)
-        for n in range(3):
-            assert state_at(claim, shorter, n) == state_at(claim, longer, n)
 
 
 class TestCountToolCalls:

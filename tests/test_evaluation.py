@@ -283,17 +283,3 @@ class TestReports:
     def test_unknown_render_format(self):
         with pytest.raises(SchemaError):
             render_report(self.report(), "yaml")
-
-    def test_summary_table_appends_simple_mean_row(self):
-        from leap.evaluation import render_summary
-
-        reports = [
-            EvalReport(dataset="alpha", n=4, accuracy=0.75, f1=0.8,
-                       confusion=Confusion(tp=2, fp=0, tn=1, fn=1)),
-            EvalReport(dataset="beta", n=4, accuracy=0.25, f1=0.4,
-                       confusion=Confusion(tp=1, fp=3, tn=0, fn=0)),
-        ]
-        table = render_summary(reports)
-        assert "alpha" in table and "beta" in table
-        assert "Avg." in table
-        assert "50.00 / 60.00" in table  # mean of (75, 25) and (80, 40)

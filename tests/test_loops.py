@@ -21,6 +21,7 @@ from leap.core import (
 from leap.errors import CurationError, SchemaError
 from leap.loops import ExpertDataset, ExpertRecord, curate, export_sft, terminal_reward
 from leap.memory import Memories, PrecedentRecord
+from leap.prompts import format_claim_block
 
 from conftest import (
     DIM,
@@ -106,7 +107,7 @@ class TestLearningEpisode:
         assert len(memories.reflections) == 0
         query = trajectory and memories.precedents.records()[0].embedding
         negatives = memories.precedents.retrieve_top_k(query, 5, lambda r: r.advantage <= 0)
-        assert [r.claim_text for r in negatives] == [f"{claim.query}\n{claim.response}"]
+        assert [r.claim_text for r in negatives] == [format_claim_block(claim)]
 
     def test_multi_step_episode_counts_states_and_tools(self):
         claim = make_claim(4, gold=Label.HALLUCINATION)

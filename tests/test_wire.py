@@ -1,9 +1,11 @@
 """The record wire format, pinned by golden files.
 
 The files under ``golden/`` were written by the hand-written encoders that
-preceded the shared record codec. Loading each one and writing it back must
-reproduce it byte for byte, and every record type must reject a malformed
-line with its line number and the path of the offending field.
+preceded the shared record codec; the three store files have since had their
+embeddings re-encoded, bit for bit, from lists of floats to base64 float64s.
+Loading each file and writing it back must reproduce it byte for byte, and
+every record type must reject a malformed line with its line number and the
+path of the offending field.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ from leap.core import (
     canonical_json,
     load_claims,
     load_trajectories,
+    read_record_lines,
+    serialize,
     write_claims,
+    write_record_lines,
     write_trajectories,
 )
 from leap.errors import SchemaError
 from leap.evaluation import parse_report, render_report
+from leap.loops import VerdictRecord
 from leap.memory import MemoryStore
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,6 +46,10 @@ def _write_report(report, path):
     path.write_text(render_report(report, "machine") + "\n", encoding="utf-8")
 
 
+def _load_verdicts(path):
+    return read_record_lines(path, lambda line, i: VerdictRecord.from_dict(json.loads(line), line=i))
+
+
 # file name -> (load, write)
 ROUND_TRIPS = {
     "claims.jsonl": (load_claims, lambda claims, path: write_claims(path, claims)),
@@ -49,6 +59,7 @@ ROUND_TRIPS = {
     "values.jsonl": (MemoryStore.load, lambda store, path: store.persist(path)),
     "script.jsonl": (load_script, _write_script),
     "report.jsonl": (lambda path: parse_report(Path(path).read_text(encoding="utf-8")), _write_report),
+    "verdicts.jsonl": (_load_verdicts, lambda rs, path: write_record_lines(path, map(serialize, rs))),
 }
 
 
@@ -139,7 +150,7 @@ REJECTIONS = {
     "ReflectionRecord": [
         ("reflections.jsonl", 2, "embedding", _DELETE, "missing field", "embedding"),
         ("reflections.jsonl", 2, "extra", 1, "unknown field", "extra"),
-        ("reflections.jsonl", 2, "embedding[0]", True, "", "embedding"),
+        ("reflections.jsonl", 2, "embedding", "AAAA*AAA", "expected base64", "embedding"),
         ("reflections.jsonl", 2, "revised_strategy.plan", "step", "", r"revised_strategy\.plan"),
         ("reflections.jsonl", 3, "revised_strategy.plan", [], "strategy plan must have at least one step", r"revised_strategy\.plan"),
         ("reflections.jsonl", 4, "principles", [], "reflection needs at least one principle", "principles"),
@@ -149,14 +160,17 @@ REJECTIONS = {
         ("precedents.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("precedents.jsonl", 2, "advantage", True, "", "advantage"),
         ("precedents.jsonl", 2, "strategy.problem_type", 1, "", r"strategy\.problem_type"),
-        ("precedents.jsonl", 3, "embedding", [0.5], "record embedding dim 1 does not match store dim 4", "embedding"),
+        ("precedents.jsonl", 3, "embedding", [0.5], "expected base64", "embedding"),  # the old list form
+        ("precedents.jsonl", 3, "embedding", "AAAAAAAA4D8=", "record embedding dim 1 does not match store dim 4", "embedding"),
     ],
     "ValueSample": [
         ("values.jsonl", 2, "value", _DELETE, "missing field", "value"),
         ("values.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("values.jsonl", 2, "value", False, "", "value"),
         ("values.jsonl", 2, "embedding", {"0": 1.0}, "", "embedding"),
-        ("values.jsonl", 3, "embedding[1]", float("nan"), "embedding entries must be finite", "embedding"),
+        ("values.jsonl", 2, "embedding", "AAAAAAAAAAAAAAAA", "expected base64", "embedding"),  # 12 bytes
+        # 0.1, NaN, 0.0, 0.0
+        ("values.jsonl", 3, "embedding", "mpmZmZmZuT8AAAAAAAD4fwAAAAAAAAAAAAAAAAAAAAA=", "embedding entries must be finite", "embedding"),
     ],
     "ScriptEntry": [
         ("script.jsonl", 1, "reply", _DELETE, "missing field", "reply"),
@@ -177,11 +191,26 @@ REJECTIONS = {
         ("report.jsonl", 1, "per_claim[2].corrected", 0, "", r"per_claim\[2\]\.corrected"),
         ("report.jsonl", 1, "per_claim[0].predicted", "Yes", "", r"per_claim\[0\]\.predicted"),
     ],
-    "EvalReport": [  # the report line itself; not a Record
+    "EvalReport": [
         ("report.jsonl", 1, "n", _DELETE, "missing field", "n"),
         ("report.jsonl", 1, "extra", 1, "unknown field", "extra"),
         ("report.jsonl", 1, "dataset", 1, "", "dataset"),
         ("report.jsonl", 1, "per_claim", {}, "", "per_claim"),
+        ("report.jsonl", 1, "positive_class", _DELETE, "missing field", "positive_class"),
+        ("report.jsonl", 1, "positive_class", "NotHallucination", "expected 'Hallucination'", "positive_class"),
+    ],
+    "VerdictRecord": [
+        ("verdicts.jsonl", 1, "n_steps", _DELETE, "missing field", "n_steps"),
+        ("verdicts.jsonl", 1, "extra", 1, "unknown field", "extra"),
+        ("verdicts.jsonl", 1, "corrected", "no", "", "corrected"),
+        ("verdicts.jsonl", 2, "scores", {}, "", "scores"),
+        ("verdicts.jsonl", 3, "verdict.label", "Maybe", "", r"verdict\.label"),
+    ],
+    "PreemptiveScore": [
+        ("verdicts.jsonl", 2, "scores[1].approved", _DELETE, "missing field", r"scores\[1\]\.approved"),
+        ("verdicts.jsonl", 1, "scores[0].extra", 1, "unknown field", r"scores\[0\]\.extra"),
+        ("verdicts.jsonl", 2, "scores[0].score", "low", "", r"scores\[0\]\.score"),
+        ("verdicts.jsonl", 2, "scores[0].approved", True, "approved must equal", r"scores\[0\]"),
     ],
 }
 
