@@ -205,21 +205,9 @@ def parse_react_sequence(text: str) -> list[tuple[str, Action]]:
 def parse_strategy_text(text: str, revision_of: str | None = None) -> VerificationStrategy:
     """Parse TYPE / STRATEGY / PLAN sections with numbered plan steps."""
     lines = text.split("\n")
-    type_idx = _find_section(lines, "TYPE:")
-    strat_idx = _find_section(lines, "STRATEGY:")
-    plan_idx = _find_section(lines, "PLAN:")
-    if type_idx is None:
-        raise ReactParseError("missing TYPE section")
-    if strat_idx is None or strat_idx < type_idx:
-        raise ReactParseError("missing STRATEGY section")
-    if plan_idx is None or plan_idx < strat_idx:
-        raise ReactParseError("missing PLAN section")
-
-    problem_type = lines[type_idx][len("TYPE:") :].strip()
-    strategy_lines = [lines[strat_idx][len("STRATEGY:") :].strip()]
-    strategy_lines.extend(l.strip() for l in lines[strat_idx + 1 : plan_idx])
-    high_level = "\n".join(strategy_lines).strip()
-
+    type_idx, strat_idx, plan_idx = _section_starts(lines, "TYPE:", "STRATEGY:", "PLAN:")
+    problem_type = _section_text(lines, type_idx, type_idx + 1)
+    high_level = _section_text(lines, strat_idx, plan_idx)
     plan = _numbered_items(lines[plan_idx + 1 :])
     if not plan:
         raise ReactParseError("PLAN section has no numbered steps")
@@ -236,35 +224,34 @@ def parse_strategy_text(text: str, revision_of: str | None = None) -> Verificati
 def parse_reflection_text(text: str) -> tuple[str, tuple[str, ...], VerificationStrategy]:
     """Parse DIAGNOSIS / PRINCIPLES / REVISED_STRATEGY sections."""
     lines = text.split("\n")
-    diag_idx = _find_section(lines, "DIAGNOSIS:")
-    prin_idx = _find_section(lines, "PRINCIPLES:")
-    revised_idx = _find_section(lines, "REVISED_STRATEGY:")
-    if diag_idx is None:
-        raise ReactParseError("missing DIAGNOSIS section")
-    if prin_idx is None or prin_idx < diag_idx:
-        raise ReactParseError("missing PRINCIPLES section")
-    if revised_idx is None or revised_idx < prin_idx:
-        raise ReactParseError("missing REVISED_STRATEGY section")
-
-    diagnosis_lines = [lines[diag_idx][len("DIAGNOSIS:") :].strip()]
-    diagnosis_lines.extend(l.strip() for l in lines[diag_idx + 1 : prin_idx])
-    diagnosis = "\n".join(diagnosis_lines).strip()
+    diag_idx, prin_idx, revised_idx = _section_starts(
+        lines, "DIAGNOSIS:", "PRINCIPLES:", "REVISED_STRATEGY:"
+    )
+    diagnosis = _section_text(lines, diag_idx, prin_idx)
     if not diagnosis:
         raise ReactParseError("DIAGNOSIS section is empty")
-
     principles = _numbered_items(lines[prin_idx + 1 : revised_idx])
     if not principles:
         raise ReactParseError("PRINCIPLES section has no numbered items")
-
     strategy = parse_strategy_text("\n".join(lines[revised_idx + 1 :]))
     return diagnosis, tuple(principles), strategy
 
 
-def _find_section(lines: list[str], marker: str) -> int | None:
-    for i, line in enumerate(lines):
-        if line.startswith(marker):
-            return i
-    return None
+def _section_starts(lines: list[str], *markers: str) -> list[int]:
+    """The first line opening each section; a section missing or out of order raises."""
+    starts: list[int] = []
+    for marker in markers:
+        index = next((i for i, line in enumerate(lines) if line.startswith(marker)), None)
+        if index is None or (starts and index < starts[-1]):
+            raise ReactParseError(f"missing {marker.removesuffix(':')} section")
+        starts.append(index)
+    return starts
+
+
+def _section_text(lines: list[str], start: int, end: int) -> str:
+    """The rest of a section's marker line and the lines before ``end``, each trimmed."""
+    first = lines[start].partition(":")[2]
+    return "\n".join(line.strip() for line in [first, *lines[start + 1 : end]]).strip()
 
 
 _NUMBERED_RE = re.compile(r"^\s*\d+[.)]\s*(.*\S)\s*$")

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Protocol
 
 import requests
 
-from .core import Embedding, Record, _loads_line, canonical_json, read_record_lines
+from .core import Embedding, Record, canonical_json, read_records
 from .errors import (
     ProviderError,
     RetryExhaustedError,
@@ -137,9 +137,7 @@ class ScriptEntry(Record):
 
 
 def load_script(path: str | Path) -> list[ScriptEntry]:
-    return read_record_lines(
-        path, lambda text, i: ScriptEntry.from_dict(_loads_line(text, i), line=i)
-    )
+    return read_records(path, ScriptEntry)
 
 
 class ScriptedProvider:

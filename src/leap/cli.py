@@ -243,7 +243,7 @@ def cmd_eval(args) -> int:
         )
         for r in results
     ]
-    report = build_report(Path(args.dataset).stem, per_claim)
+    report = build_report(Path(args.dataset).stem, per_claim, [cid for cid, _ in failures])
     text = render_report(report, args.report_format)
     if args.out:
         # Either format ends in exactly one newline on disk.

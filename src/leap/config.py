@@ -4,8 +4,8 @@ One JSON file with six sections: backend, decoding, learning, correction,
 tools, and paths. Each section is a frozen dataclass, and loading is derived
 from it: the fields name the accepted keys and their defaults, the field
 annotations give the value types, and each dataclass checks its own ranges.
-Unknown keys are rejected. The effective config (defaults filled in)
-round-trips: dumping and reloading it is the identity.
+Unknown keys are rejected. The effective config (``effective_dict``, defaults
+filled in) round-trips: loading it back gives the same config.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "default_config",
     "load_config",
     "effective_dict",
-    "dump_config",
     "config_hash",
 ]
 
@@ -178,10 +177,6 @@ def _wire_dict(items: list[tuple[str, Any]]) -> dict[str, Any]:
 def effective_dict(config: Config) -> dict[str, Any]:
     """The full configuration with every default filled in."""
     return asdict(config, dict_factory=_wire_dict)
-
-
-def dump_config(config: Config, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(effective_dict(config), indent=2) + "\n", encoding="utf-8")
 
 
 def config_hash(config: Config) -> str:

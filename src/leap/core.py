@@ -25,13 +25,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "Trajectory",
     "StateView",
     "parse_verdict_label",
+    "answer_verdict",
     "count_tool_calls",
     "advantage_value",
     "strategy_id",
@@ -63,8 +65,8 @@ __all__ = [
     "linearize_target",
     "canonical_json",
     "serialize",
-    "deserialize_claim",
-    "deserialize_trajectory",
+    "read_lines",
+    "read_records",
     "load_claims",
     "write_claims",
     "load_trajectories",
@@ -101,7 +103,7 @@ _VERDICT_TEXTS = {
 
 
 def parse_verdict_label(text: str) -> Label:
-    """Map model verdict text to a label.
+    """Map get_answer's verdict text to a label.
 
     Accepts "Hallucination" / "Not Hallucination" (case-insensitive,
     surrounding and internal whitespace collapsed). Anything else raises;
@@ -110,7 +112,7 @@ def parse_verdict_label(text: str) -> Label:
     normalized = " ".join(text.split()).lower()
     label = _VERDICT_TEXTS.get(normalized)
     if label is None:
-        raise SchemaError(f"unrecognized verdict text: {text!r}")
+        raise SchemaError("get_answer verdict must be 'Hallucination' or 'Not Hallucination'")
     return label
 
 
@@ -414,6 +416,12 @@ class Step(Record):
     observation: str | None = None
 
 
+def answer_verdict(action: Action) -> Verdict:
+    """The verdict a get_answer action states: its label, then optional evidence."""
+    evidence = str(action.args[1]) if len(action.args) > 1 else None
+    return Verdict(label=parse_verdict_label(str(action.args[0])), evidence=evidence)
+
+
 def advantage_value(
     r_terminal: float, gamma: float, v_next: float, v_curr: float, lam: float, n_tools: int
 ) -> float:
@@ -601,27 +609,31 @@ def _loads_line(line: str, line_no: int | None) -> Any:
         raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
 
 
-def deserialize_claim(line: str, *, line_no: int | None = None) -> Claim:
-    return Claim.from_dict(_loads_line(line, line_no), line=line_no)
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each non-blank line of a UTF-8 file.
 
-
-def deserialize_trajectory(line: str, *, line_no: int | None = None) -> Trajectory:
-    return Trajectory.from_dict(_loads_line(line, line_no), line=line_no)
-
-
-def read_record_lines(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]:
-    """Read a line-delimited record file, attributing errors to line numbers."""
-    path = Path(path)
+    The file is read a line at a time, and a line ends only at ``\n``, never
+    at the other separators JSON strings may hold raw. The file is closed
+    even when the caller stops early.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        # A byte that is not UTF-8 decodes to a lone surrogate, found on its own line.
+        with Path(path).open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+            for i, line in enumerate(fh, start=1):
+                if not line.isascii() and _ESCAPED_BYTE.search(line):
+                    raise SchemaError("not UTF-8", line=i)
+                if not line.isspace():
+                    yield i, line
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    records = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        records.append(parse(line, i))
-    return records
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_records(path: str | Path, cls: type) -> list[Any]:
+    """Decode every line of a file as one record of type ``cls``."""
+    return [cls.from_dict(_loads_line(line, i), line=i) for i, line in read_lines(path)]
 
 
 def write_record_lines(path: str | Path, lines: Iterable[str]) -> int:
@@ -650,7 +662,10 @@ def write_record_lines(path: str | Path, lines: Iterable[str]) -> int:
 
 def load_claims(path: str | Path) -> list[Claim]:
     """Load a native claim file, enforcing id uniqueness."""
-    claims = read_record_lines(path, lambda line, i: deserialize_claim(line, line_no=i))
+    return _check_unique_ids(read_records(path, Claim))
+
+
+def _check_unique_ids(claims: list[Claim]) -> list[Claim]:
     seen: set[str] = set()
     for claim in claims:
         if claim.id in seen:
@@ -664,7 +679,7 @@ def write_claims(path: str | Path, claims: Iterable[Claim]) -> int:
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    return read_record_lines(path, lambda line, i: deserialize_trajectory(line, line_no=i))
+    return read_records(path, Trajectory)
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> int:

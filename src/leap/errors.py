@@ -85,7 +85,7 @@ class ToolError(LeapError):
 
 
 class ToolConfigError(LeapError):
-    """Toolbox configuration is unusable; raised at startup, not call time."""
+    """Toolbox configuration is unusable; raised only when the toolbox is built."""
 
 
 class ConfigError(LeapError):

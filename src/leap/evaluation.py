@@ -17,8 +17,10 @@ from .core import (
     Label,
     Record,
     _check_keys,
+    _check_unique_ids,
     _loads_line,
     load_claims,
+    read_lines,
     serialize,
     wire_value,
 )
@@ -66,31 +68,19 @@ def load_dataset(path: str | Path, format: str = "native") -> list[Claim]:
     """
     if format not in DATASET_FORMATS:
         raise DatasetFormatError(f"unknown dataset format: {format!r}")
-    if format == "native":
-        try:
-            return load_claims(path)
-        except (SchemaError, StorageError) as exc:
-            raise DatasetFormatError(str(exc)) from exc
-
-    path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-
-    adapter = _from_generic if format == "generic_pairs" else _from_halueval
-    claims: list[Claim] = []
-    record_no = 0
-    for raw in lines:
-        if not raw.strip():
-            continue
-        record_no += 1
-        try:
-            claims.extend(adapter(_loads_line(raw, None), record_no))
-        except SchemaError as exc:
-            raise DatasetFormatError(f"record {record_no}: {exc}") from exc
-    _check_unique_ids(claims)
-    return claims
+        if format == "native":
+            return load_claims(path)
+        adapter = _from_generic if format == "generic_pairs" else _from_halueval
+        claims: list[Claim] = []
+        for record_no, (_, line) in enumerate(read_lines(path), start=1):
+            try:
+                claims.extend(adapter(_loads_line(line, None), record_no))
+            except SchemaError as exc:
+                raise DatasetFormatError(f"record {record_no}: {exc}") from exc
+        return _check_unique_ids(claims)
+    except (SchemaError, StorageError) as exc:
+        raise DatasetFormatError(str(exc)) from exc
 
 
 def _from_generic(record: Any, record_no: int) -> list[Claim]:
@@ -131,14 +121,6 @@ def _from_halueval(record: Any, record_no: int) -> list[Claim]:
         )
         for key, suffix, label in answers
     ]
-
-
-def _check_unique_ids(claims: Sequence[Claim]) -> None:
-    seen: set[str] = set()
-    for claim in claims:
-        if claim.id in seen:
-            raise DatasetFormatError(f"duplicate claim id: {claim.id!r}")
-        seen.add(claim.id)
 
 
 class Lcg64:
@@ -259,6 +241,7 @@ class EvalReport(Record):
     accuracy: float
     f1: float
     confusion: Confusion
+    failed: tuple[str, ...] = ()  # ids of the sampled claims that did not finish
     positive_class: str = Label.HALLUCINATION.value
     per_claim: tuple[PerClaim, ...] = ()
 
@@ -273,7 +256,9 @@ class EvalReport(Record):
             raise SchemaError("accuracy does not match the confusion matrix")
 
 
-def build_report(dataset: str, per_claim: Sequence[PerClaim]) -> EvalReport:
+def build_report(
+    dataset: str, per_claim: Sequence[PerClaim], failed: Sequence[str] = ()
+) -> EvalReport:
     metrics = compute_metrics([(p.gold, p.predicted) for p in per_claim])
     return EvalReport(
         dataset=dataset,
@@ -281,6 +266,7 @@ def build_report(dataset: str, per_claim: Sequence[PerClaim]) -> EvalReport:
         accuracy=metrics.accuracy,
         f1=metrics.f1,
         confusion=metrics.confusion,
+        failed=tuple(failed),
         per_claim=tuple(per_claim),
     )
 
@@ -299,6 +285,7 @@ def render_report(report: EvalReport, format: str = "text_table") -> str:
         f"{'dataset'.ljust(name_width)}  {'n':>6}  Acc / F1",
         f"{report.dataset.ljust(name_width)}  {report.n:>6}  {cell}",
         f"confusion: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}",
+        f"failed: {len(report.failed)} of {report.n + len(report.failed)} sampled",
     ]
     return "\n".join(lines) + "\n"
 
@@ -306,7 +293,7 @@ def render_report(report: EvalReport, format: str = "text_table") -> str:
 def parse_report(text: str) -> EvalReport:
     """Parse a machine-format report line back into an EvalReport."""
     obj = _loads_line(text, None)
-    # Every key is required on the wire, although the dataclass defaults two.
-    keys = {"dataset", "n", "accuracy", "f1", "confusion", "positive_class", "per_claim"}
+    # Every key is required on the wire, although the dataclass defaults three.
+    keys = {"dataset", "n", "accuracy", "f1", "confusion", "failed", "positive_class", "per_claim"}
     _check_keys(obj, keys, set(), "", None)
     return EvalReport.from_dict(obj)

@@ -39,9 +39,9 @@ from .core import (
     Tool,
     Trajectory,
     Verdict,
+    answer_verdict,
     canonical_json,
     linearize_target,
-    parse_verdict_label,
     serialize,
     strategy_id,
     write_record_lines,
@@ -227,9 +227,7 @@ class Runtime:
             result = self.toolbox.dispatch(action)
             steps.append(Step(thought=thought, action=action, observation=result.observation_text))
             if action.tool is Tool.GET_ANSWER and result.success:
-                label = parse_verdict_label(str(action.args[0]))
-                evidence = str(action.args[1]) if len(action.args) > 1 else None
-                return steps, Verdict(label=label, evidence=evidence)
+                return steps, answer_verdict(action)
 
     def _fan_out(
         self, claims: Sequence[Claim], run: Callable[[Claim], Any], what: str, strict: bool = False

@@ -16,8 +16,8 @@ read-only vectors, so an evicted record handed out earlier stays intact.
 
 The file form does not depend on the layout: a header line, then one record
 per line in insertion order, each embedding written as the base64 text of its
-little-endian float64 entries. Loading reads the file a line at a time, so a
-store's text is never held whole.
+little-endian float64 entries. Loading reads the file through
+``core.read_lines``, a line at a time, so a store's text is never held whole.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -38,10 +39,11 @@ from .core import (
     _check_keys,
     _loads_line,
     canonical_json,
+    read_lines,
     wire_value,
     write_record_lines,
 )
-from .errors import SchemaError, StorageError
+from .errors import SchemaError
 
 __all__ = [
     "ReflectionRecord",
@@ -232,26 +234,20 @@ class MemoryStore:
     @classmethod
     def load(cls, path: str | Path) -> "MemoryStore":
         """Read a persisted store a line at a time, checking every line."""
-        path = Path(path)
-        try:
-            lines = path.open(encoding="utf-8")
-        except OSError as exc:
-            raise StorageError(f"cannot load store from {path}: {exc}") from exc
-        with lines:
+        with closing(read_lines(path)) as lines:
             first = next(lines, None)
             if first is None:
                 raise SchemaError("store file is empty (missing header)", line=1)
-            header = _loads_line(first, 1)
-            _check_keys(header, set(_HEADER), set(), "", 1)
-            decoded = {key: wire_value(hint, header[key], key, 1) for key, hint in _HEADER.items()}
+            at, text = first  # the header
+            header = _loads_line(text, at)
+            _check_keys(header, set(_HEADER), set(), "", at)
+            decoded = {key: wire_value(hint, header[key], key, at) for key, hint in _HEADER.items()}
             try:
                 store = cls(decoded["kind"], decoded["dim"], decoded["cap"])
             except SchemaError as exc:
-                raise exc.located(1, "") from None
+                raise exc.located(at, "") from None
             record_type = _KINDS[store.kind]
-            for i, line in enumerate(lines, start=2):
-                if not line.strip():
-                    continue
+            for i, line in lines:
                 record = record_type.from_dict(_loads_line(line, i), line=i)
                 try:
                     store.insert(record)
@@ -260,7 +256,7 @@ class MemoryStore:
         if len(store) != decoded["count"]:
             raise SchemaError(
                 f"header declares {decoded['count']} records, file holds {len(store)}",
-                line=1,
+                line=at,
                 field="count",
             )
         return store

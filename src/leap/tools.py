@@ -3,15 +3,18 @@
 Seven tools: web_search, calculator, code_interpreter, word_count, and match
 for verification; split_text and get_answer for system operations. Dispatch
 converts an Action into a ToolResult and never lets a tool failure escape the
-trajectory loop: failures become observations the actor can reason about, so
-every action yields an observation. Only configuration problems raise, and
-they raise at toolbox construction, not at call time.
+trajectory loop: any exception a tool raises becomes an observation the actor
+can reason about, and so does a call to a tool the toolbox was built without,
+so every action yields an observation. Only an unusable configuration raises,
+when the toolbox is built.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,12 +30,12 @@ from .core import (
     Tool,
     _check_keys,
     _loads_line,
+    answer_verdict,
     canonical_json,
-    parse_verdict_label,
-    read_record_lines,
+    read_lines,
     wire_value,
 )
-from .errors import CalculatorError, SchemaError, ToolConfigError, ToolError
+from .errors import ToolConfigError, ToolError
 
 __all__ = [
     "ToolSignature",
@@ -131,12 +134,13 @@ class FixtureSearch:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSearch":
-        def parse(line: str, i: int) -> tuple[str, str]:
+        fixtures = {}
+        for i, line in read_lines(path):
             obj = _loads_line(line, i)
             _check_keys(obj, {"query", "result"}, set(), "", i)
-            return wire_value(str, obj["query"], "query", i), wire_value(str, obj["result"], "result", i)
-
-        return cls(dict(read_record_lines(path, parse)))
+            query = wire_value(str, obj["query"], "query", i)
+            fixtures[query] = wire_value(str, obj["result"], "result", i)
+        return cls(fixtures)
 
     def search(self, query: str, k: int) -> str:
         if query not in self._fixtures:
@@ -169,15 +173,15 @@ class HttpSearch:
             raise ToolError(f"SEARCH_ERROR: {exc}") from exc
         if response.status_code != 200:
             raise ToolError(f"SEARCH_ERROR: status {response.status_code}")
+        fields = (self.title_field, self.snippet_field)
         try:
             results = response.json()[self.results_field]
-        except (ValueError, KeyError, TypeError) as exc:
+            items = [[item.get(f, "") for f in fields] for item in results[:k]]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ToolError(f"SEARCH_ERROR: malformed response ({exc!r})") from exc
-        lines = []
-        for i, item in enumerate(results[:k], start=1):
-            title = item.get(self.title_field, "")
-            snippet = item.get(self.snippet_field, "")
-            lines.append(f"[{i}] {title} — {snippet}")
+        if not isinstance(results, list) or not all(isinstance(t, str) for it in items for t in it):
+            raise ToolError("SEARCH_ERROR: malformed response")
+        lines = [f"[{i}] {' — '.join(item)}" for i, item in enumerate(items, start=1)]
         if not lines:
             raise ToolError("SEARCH_ERROR: no results")
         return "\n".join(lines)
@@ -214,8 +218,10 @@ class Toolbox:
         if code_executor is not None:
             if not code_executor:
                 raise ToolConfigError("code executor command is empty")
-            if shutil.which(code_executor[0]) is None:
+            program = shutil.which(code_executor[0])
+            if program is None:
                 raise ToolConfigError(f"code executor not found: {code_executor[0]!r}")
+            code_executor = [program, *code_executor[1:]]
         if code_parallelism < 1:
             raise ToolConfigError("code_parallelism must be at least 1")
         self.search_provider = search
@@ -238,13 +244,13 @@ class Toolbox:
         if self.match_mode == "llm":
             return self._match_llm(sentence, context)
         if self.embedder is None:
-            raise ToolConfigError("match in embedding mode needs an embedder")
+            raise ToolError("TOOL_ERROR: match is not configured (no embedder)")
         similarity = cosine(self.embedder.embed(sentence), self.embedder.embed(context))
         return similarity >= self.match_threshold
 
     def _match_llm(self, sentence: str, context: str) -> bool:
         if self.chat is None or self.match_template is None:
-            raise ToolConfigError("match in llm mode needs a chat provider and template")
+            raise ToolError("TOOL_ERROR: match is not configured (no chat provider or template)")
         prompt = self.match_template.render(sentence=sentence, context=context)
         reply = self.chat.complete(
             ChatRequest(system_prompt="", messages=(ChatMessage("user", prompt),), temperature=0.0)
@@ -258,23 +264,27 @@ class Toolbox:
         if not query:
             raise ToolError("TOOL_ERROR: web_search requires a non-empty query")
         if self.search_provider is None:
-            raise ToolConfigError("no search provider configured")
+            raise ToolError("TOOL_ERROR: web_search is not configured (no search provider)")
         return self.search_provider.search(query, self.search_k)
 
     def code_interpreter(self, code: str) -> tuple[bool, str]:
         """Run a snippet through the external executor; True iff it exits 0.
 
+        The child gets only a default PATH as its environment and a fresh
+        temporary directory, removed afterwards, as its working directory.
         Executions contend for a bounded number of sandbox slots (one by
         default), so concurrent claims cannot stack up subprocesses.
         """
         if self.code_executor is None:
-            raise ToolConfigError("no code executor configured")
-        with self._code_slots:
+            raise ToolError("TOOL_ERROR: code_interpreter is not configured (no code executor)")
+        with self._code_slots, tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as cwd:
             try:
                 completed = subprocess.run(
                     [*self.code_executor, code],
                     capture_output=True,
                     timeout=self.code_timeout_ms / 1000.0,
+                    cwd=cwd,
+                    env={"PATH": os.defpath},
                 )
             except subprocess.TimeoutExpired:
                 return False, "TIMEOUT"
@@ -284,13 +294,17 @@ class Toolbox:
     # --- dispatch ----------------------------------------------------------
 
     def dispatch(self, action: Action) -> ToolResult:
-        """Route an action to its tool, turning any failure into an observation."""
+        """Route an action to its tool, turning any failure into an observation.
+
+        A ToolError's text is the observation as it is; any other exception
+        is reported as ``TOOL_ERROR: <message>``.
+        """
         started = time.perf_counter()
         try:
             observation, success = self._invoke(action)
         except ToolError as exc:
             observation, success = str(exc), False
-        except CalculatorError as exc:
+        except Exception as exc:
             observation, success = f"TOOL_ERROR: {exc}", False
         latency_ms = (time.perf_counter() - started) * 1000.0
         return ToolResult(observation_text=observation, success=success, latency_ms=latency_ms)
@@ -299,11 +313,10 @@ class Toolbox:
         _check_call(action)
         tool = action.tool
         if tool is Tool.GET_ANSWER:
-            label = parse_verdict_label_or_tool_error(str(action.args[0]))
-            text = label.value
-            if len(action.args) > 1:
-                text = f"{text} | {action.args[1]}"
-            return text, True
+            verdict = answer_verdict(action)
+            if verdict.evidence is None:
+                return verdict.label.value, True
+            return f"{verdict.label.value} | {verdict.evidence}", True
         if tool is Tool.CALCULATOR:
             return _format_real(_calculator.evaluate(str(action.args[0]))), True
         if tool is Tool.WORD_COUNT:
@@ -319,15 +332,6 @@ class Toolbox:
             result, observation = self.code_interpreter(str(action.args[0]))
             return observation, observation != "TIMEOUT"
         raise ToolError(f"TOOL_ERROR: unknown tool {tool.value}")  # pragma: no cover
-
-
-def parse_verdict_label_or_tool_error(text: str):
-    try:
-        return parse_verdict_label(text)
-    except SchemaError as exc:
-        raise ToolError(
-            "TOOL_ERROR: get_answer verdict must be 'Hallucination' or 'Not Hallucination'"
-        ) from exc
 
 
 def _check_call(action: Action) -> None:

@@ -19,6 +19,7 @@ from leap.backend import (
     load_script,
     request_digest,
 )
+from leap.core import canonical_json
 from leap.errors import (
     ProviderError,
     RetryExhaustedError,
@@ -146,6 +147,16 @@ class TestScriptedProvider:
         path.write_text('{"reply": "ok"}\n' + line + "\n")
         with pytest.raises(SchemaError, match="line 2: " + message):
             load_script(path)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_replies_may_hold_line_separators(self, tmp_path, sep):
+        path = tmp_path / "script.jsonl"
+        reply = f"Thought: first{sep}second\nAction: get_answer(\"Hallucination\")"
+        path.write_text(
+            canonical_json({"reply": reply}) + "\n" + canonical_json({"reply": "ok"}) + "\n",
+            encoding="utf-8",
+        )
+        assert load_script(path) == [ScriptEntry(reply=reply), ScriptEntry(reply="ok")]
 
 
 class TestHashingEmbedder:

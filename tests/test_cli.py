@@ -13,7 +13,6 @@ from leap.config import (
     config_from_dict,
     config_hash,
     default_config,
-    dump_config,
     effective_dict,
     load_config,
 )
@@ -26,7 +25,7 @@ from conftest import detection_entries, episode_entries, make_claim, write_scrip
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
-        dump_config(default_config(), path)
+        path.write_text(json.dumps(effective_dict(default_config())))
         assert load_config(path) == default_config()
 
     def test_effective_round_trip_with_overrides(self, tmp_path):
@@ -38,7 +37,7 @@ class TestConfig:
             }
         )
         path = tmp_path / "config.json"
-        dump_config(config, path)
+        path.write_text(json.dumps(effective_dict(config)))
         reloaded = load_config(path)
         assert reloaded == config
         assert config_hash(reloaded) == config_hash(config)
@@ -225,6 +224,25 @@ class TestExportCommand:
         assert printed == len(sft.read_text().splitlines())
         assert printed == workspace.n_claims  # every scripted episode is expert-grade
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separators_in_trajectories_export(self, workspace, capsys, sep):
+        entries = []
+        for claim in workspace.claims:
+            entries.extend(episode_entries(claim, evidence=f"based{sep}on it", values=(0.1, 0.6)))
+        workspace._activate("learn-script.jsonl", entries)
+        out = workspace.root / "run1"
+        code = main(
+            ["learn", "--config", workspace.config, "--dataset", str(workspace.claims_path),
+             "--out", str(out)]
+        )
+        assert code == 0
+        code = main(
+            ["export-sft", "--trajectories", str(out / "trajectories.jsonl"),
+             "--claims", str(workspace.claims_path), "--out", str(workspace.root / "sft.jsonl")]
+        )
+        assert code == 0
+        assert int(capsys.readouterr().out.strip()) == workspace.n_claims
+
 
 class TestEvalCommand:
     def test_writes_report(self, workspace):
@@ -250,6 +268,21 @@ class TestEvalCommand:
 
         report = parse_report(capsys.readouterr().out.strip())
         assert report.n == 2
+
+    def test_failed_claims_are_reported(self, workspace, capsys):
+        entries = []
+        for claim in workspace.claims[:3]:  # the last claim has no script and fails
+            entries.extend(detection_entries(claim, score=0.4, verdict="Hallucination"))
+        workspace._activate("detect-script.jsonl", entries)
+        code = main(
+            ["eval", "--config", workspace.config, "--dataset", str(workspace.claims_path),
+             "--report-format", "machine"]
+        )
+        assert code == 0
+        from leap.evaluation import parse_report
+
+        report = parse_report(capsys.readouterr().out.strip())
+        assert (report.n, report.failed) == (3, (workspace.claims[3].id,))
 
 
 class TestToolCommand:
@@ -316,6 +349,26 @@ class TestExitCodes:
              "--out", str(tmp_path / "v.jsonl")]
         )
         assert code == 2
+
+    def test_dataset_that_is_not_utf8_is_validation_error(self, workspace, tmp_path, capsys):
+        workspace.use_detect_script()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(workspace.claims_path.read_bytes() + b'{"id": "\xff"}\n')
+        code = main(["eval", "--config", workspace.config, "--dataset", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line {workspace.n_claims + 1}: not UTF-8\n"
+
+    def test_store_that_is_not_utf8_is_reported(self, workspace, capsys):
+        workspace.use_learn_script()
+        memory = workspace.root / "memory"
+        memory.mkdir()
+        (memory / "reflections.jsonl").write_bytes(b"\xff\n")
+        code = main(
+            ["learn", "--config", workspace.config, "--dataset", str(workspace.claims_path),
+             "--out", str(workspace.root / "o")]
+        )
+        assert code == 2  # a corrupt store is a runtime failure, as for any store error
+        assert capsys.readouterr().err == "error: line 1: not UTF-8\n"
 
     def test_unlabeled_eval_dataset_is_validation_error(self, workspace, tmp_path):
         workspace.use_detect_script()

@@ -19,16 +19,17 @@ from leap.core import (
     Verdict,
     VerificationStrategy,
     count_tool_calls,
-    deserialize_claim,
-    deserialize_trajectory,
     linearize_steps,
     linearize_target,
     load_claims,
+    load_trajectories,
     parse_verdict_label,
+    read_lines,
     serialize,
     write_claims,
+    write_trajectories,
 )
-from leap.errors import IncompleteTrajectoryError, SchemaError
+from leap.errors import IncompleteTrajectoryError, SchemaError, StorageError
 
 from conftest import make_claim, make_strategy
 
@@ -173,28 +174,28 @@ class TestAdvantageReport:
 class TestSerialization:
     def test_claim_roundtrip(self):
         claim = make_claim(7)
-        assert deserialize_claim(serialize(claim)) == claim
+        assert Claim.from_dict(json.loads(serialize(claim))) == claim
 
     def test_claim_without_gold(self):
         claim = make_claim(7, gold=None)
         line = serialize(claim)
         assert "gold_label" not in line
-        assert deserialize_claim(line) == claim
+        assert Claim.from_dict(json.loads(line)) == claim
 
     def test_missing_field_named(self):
         with pytest.raises(SchemaError, match="response"):
-            deserialize_claim('{"id": "c", "query": "q"}')
+            Claim.from_dict(json.loads('{"id": "c", "query": "q"}'))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError, match="extra"):
-            deserialize_claim('{"id": "c", "query": "q", "response": "r", "extra": 1}')
+            Claim.from_dict(json.loads('{"id": "c", "query": "q", "response": "r", "extra": 1}'))
 
     def test_nested_field_path_in_error(self):
         trajectory = make_trajectory()
         obj = json.loads(serialize(trajectory))
         obj["steps"][1]["action"]["tool"] = "nonsense"
         with pytest.raises(SchemaError, match=r"steps\[1\]\.action\.tool"):
-            deserialize_trajectory(json.dumps(obj))
+            Trajectory.from_dict(obj)
 
     def test_trajectory_roundtrip_with_all_fields(self):
         report = AdvantageReport(
@@ -208,7 +209,7 @@ class TestSerialization:
             Verdict(Label.HALLUCINATION, evidence="because"),
             report,
         )
-        assert deserialize_trajectory(serialize(trajectory)) == trajectory
+        assert Trajectory.from_dict(json.loads(serialize(trajectory))) == trajectory
 
     def test_canonical_form_is_byte_stable(self):
         a, b = make_trajectory(), make_trajectory()
@@ -219,7 +220,7 @@ class TestSerialization:
     @given(random_steps())
     def test_generated_trajectories_roundtrip(self, steps):
         trajectory = make_trajectory(steps=steps)
-        again = deserialize_trajectory(serialize(trajectory))
+        again = Trajectory.from_dict(json.loads(serialize(trajectory)))
         assert again == trajectory
         assert serialize(again) == serialize(trajectory)
 
@@ -245,6 +246,42 @@ class TestSerialization:
         write_claims(path, [claim, claim])
         with pytest.raises(SchemaError, match="duplicate"):
             load_claims(path)
+
+
+# Separators that str.splitlines() breaks at but JSON strings may hold raw.
+LINE_SEPARATORS = ["\u2028", "\u2029", "\u0085"]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_claim_and_trajectory_text_may_hold_line_separators(self, tmp_path, sep):
+        claim = Claim(id=f"c{sep}1", query=f"is{sep}it?", response=f"yes{sep}no")
+        write_claims(tmp_path / "claims.jsonl", [claim, make_claim(2)])
+        assert load_claims(tmp_path / "claims.jsonl") == [claim, make_claim(2)]
+        steps = (Step(f"look{sep}up", Action(Tool.GET_ANSWER, ("Hallucination",)), "H"),)
+        trajectory = make_trajectory(steps=steps)
+        write_trajectories(tmp_path / "t.jsonl", [trajectory, make_trajectory()])
+        assert load_trajectories(tmp_path / "t.jsonl") == [trajectory, make_trajectory()]
+
+    def test_crlf_lines_load(self, tmp_path):
+        path = tmp_path / "claims.jsonl"
+        path.write_bytes(b"".join(serialize(make_claim(i)).encode() + b"\r\n" for i in range(3)))
+        assert load_claims(path) == [make_claim(i) for i in range(3)]
+
+    def test_blank_lines_are_skipped_and_numbers_kept(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\n\n  \nb")
+        assert list(read_lines(path)) == [(1, "a\n"), (4, "b")]
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "claims.jsonl"
+        path.write_bytes(serialize(make_claim(1)).encode() + b'\n{"id": "\xff"}\n')
+        with pytest.raises(SchemaError, match=r"^line 2: not UTF-8$"):
+            load_claims(path)
+
+    def test_missing_file_is_a_storage_error(self, tmp_path):
+        with pytest.raises(StorageError, match="cannot read"):
+            load_trajectories(tmp_path / "absent.jsonl")
 
 
 class TestInvariants:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from leap.core import Label
 from leap.errors import DatasetFormatError, SchemaError
 from leap.evaluation import (
+    DATASET_FORMATS,
     Confusion,
     EvalReport,
     Lcg64,
@@ -145,6 +146,42 @@ class TestNativeFormat:
             load_dataset(tmp_path / "x.jsonl", "csv")
 
 
+class TestEveryFormatReadsLines:
+    @pytest.mark.parametrize("format", DATASET_FORMATS)
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, tmp_path, format):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'\n{"query": "q\xe9", "response": "r", "label": "faithful"}\n')
+        with pytest.raises(DatasetFormatError, match=r"^line 2: not UTF-8$"):
+            load_dataset(path, format)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separators_inside_strings_stay_in_their_record(self, tmp_path, sep):
+        records = [
+            {"query": f"q{sep}1", "response": f"r{sep}", "label": "faithful"},
+            {"query": "q2", "response": "r2", "label": "hallucinated"},
+        ]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+        claims = load_dataset(path, "generic_pairs")
+        assert [c.query for c in claims] == [f"q{sep}1", "q2"]
+
+    @pytest.mark.parametrize(
+        "format,record",
+        [
+            ("native", {"id": "a", "query": "q", "response": "r"}),
+            ("generic_pairs", {"id": "a", "query": "q", "response": "r", "label": "faithful"}),
+        ],
+    )
+    def test_duplicate_ids_are_a_format_error(self, tmp_path, format, record):
+        path = write_jsonl(tmp_path / "d.jsonl", [record, record])
+        with pytest.raises(DatasetFormatError, match="duplicate claim id: 'a'"):
+            load_dataset(path, format)
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="cannot read"):
+            load_dataset(tmp_path / "absent.jsonl", "halueval_qa")
+
+
 class TestSampleSplit:
     def test_full_sample_is_a_permutation(self):
         claims = [make_claim(i) for i in range(20)]
@@ -273,6 +310,19 @@ class TestReports:
         report = self.report()
         line = render_report(report, "machine")
         assert parse_report(line) == report
+
+    def test_failed_claims_are_accounted_for(self):
+        per_claim = self.report().per_claim
+        report = build_report("halueval", per_claim, failed=["d", "e"])
+        assert report.n == 3 and report.failed == ("d", "e")
+        assert "failed: 2 of 5 sampled" in render_report(report, "text_table").splitlines()
+        assert parse_report(render_report(report, "machine")) == report
+
+    def test_failed_key_is_required_on_the_wire(self):
+        obj = json.loads(render_report(self.report(), "machine"))
+        del obj["failed"]
+        with pytest.raises(SchemaError, match=r"missing field \(field: failed\)"):
+            parse_report(json.dumps(obj))
 
     def test_invariants_rejected(self):
         with pytest.raises(SchemaError, match="sum"):

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +326,33 @@ class TestPersistence:
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(SchemaError, match=rf"^line 1: .*\(field: {field}\)$"):
             MemoryStore.load(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        store = MemoryStore("value", DIM)
+        for i in range(2):
+            store.insert(value_sample(i, Embedding.of([float(i)] * DIM)))
+        path = tmp_path / "values.jsonl"
+        store.persist(path)
+        header, first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header + first + second.replace(b"v00001", b"v\xff0001"))
+        with pytest.raises(SchemaError, match=r"^line 3: not UTF-8$"):
+            MemoryStore.load(path)
+
+    def test_bad_header_closes_the_file_at_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "values.jsonl"
+        path.write_text('{"dim": 4}\n')
+        opened = []
+        real_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            opened.append(real_open(self, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        # The traceback held here keeps the loader's frame alive.
+        with pytest.raises(SchemaError, match="missing field"):
+            MemoryStore.load(path)
+        assert len(opened) == 1 and opened[0].closed
 
     def test_persist_racing_a_writer_always_loads(self, tmp_path):
         store = MemoryStore("value", DIM, cap=None)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import shutil
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leap.backend import HashingEmbedder, cosine
 from leap.core import Action, Tool
-from leap.errors import SchemaError, ToolConfigError
+from leap.errors import RetryExhaustedError, SchemaError, ToolConfigError, ToolError
 from leap.prompts import load_templates
 from leap.tools import (
     SIGNATURES,
@@ -195,6 +197,24 @@ class TestWebSearch:
         assert result.success is False
         assert result.observation_text.startswith("SEARCH_ERROR:")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"results": {"title": "T"}},  # results not a list
+            {"results": "T — S"},
+            {"results": [1, 2]},  # items not objects
+            {"results": [["T", "S"]]},
+            {"results": [{"title": 1, "snippet": "S"}]},  # fields not strings
+            {"results": [{"title": "T", "snippet": None}]},
+        ],
+    )
+    def test_http_provider_rejects_malformed_responses(self, payload):
+        with stub_http_server([(200, payload)]) as (url, _):
+            toolbox = basic_toolbox(search=HttpSearch(url=url + "/search"))
+            result = toolbox.dispatch(Action(Tool.WEB_SEARCH, ("q",)))
+        assert result.success is False
+        assert result.observation_text.startswith("SEARCH_ERROR: malformed response")
+
 
 @pytest.mark.skipif(
     "LEAP_LIVE_SEARCH_URL" not in __import__("os").environ,
@@ -251,8 +271,25 @@ class TestCodeInterpreter:
 
     def test_unconfigured_executor_fails_only_when_called(self):
         toolbox = Toolbox()
-        with pytest.raises(ToolConfigError):
+        with pytest.raises(ToolError, match="code_interpreter is not configured"):
             toolbox.code_interpreter("exit 0")
+
+    def test_child_sees_no_caller_environment(self, monkeypatch):
+        monkeypatch.setenv("LEAP_API_KEY", "secret")
+        toolbox = basic_toolbox()
+        assert toolbox.code_interpreter('test -z "$LEAP_API_KEY"') == (True, "true")
+        assert toolbox.code_interpreter('test "$LEAP_API_KEY" = secret') == (False, "false")
+
+    def test_child_runs_in_a_fresh_directory_removed_afterwards(self, tmp_path):
+        record = tmp_path / "cwd.txt"
+        toolbox = basic_toolbox()
+        assert toolbox.code_interpreter(f"pwd > '{record}' && touch left-behind") == (True, "true")
+        child_cwd = record.read_text().strip()
+        assert child_cwd != os.getcwd()
+        assert not os.path.exists(child_cwd)
+
+    def test_executor_path_is_resolved_once(self):
+        assert Toolbox(code_executor=["sh", "-c"]).code_executor[0] == shutil.which("sh")
 
 
 class TestDispatch:
@@ -316,3 +353,71 @@ class TestDispatch:
             result = toolbox.dispatch(action)
             assert result.success is False
             assert result.observation_text
+
+    @pytest.mark.parametrize(
+        "action,observation",
+        [
+            (Action(Tool.CODE_INTERPRETER, ("exit 0\0",)), "TOOL_ERROR: embedded null byte"),
+            (Action(Tool.CODE_INTERPRETER, ("#" * 200 * 1024,)), "TOOL_ERROR: [Errno 7]"),
+        ],
+    )
+    def test_executor_failures_become_observations(self, action, observation):
+        result = basic_toolbox().dispatch(action)
+        assert result.success is False
+        assert result.observation_text.startswith(observation)
+
+    @pytest.mark.parametrize(
+        "toolbox,action",
+        [
+            (Toolbox(), Action(Tool.WEB_SEARCH, ("q",))),
+            (Toolbox(), Action(Tool.MATCH, ("s", "c"))),
+            (Toolbox(match_mode="llm"), Action(Tool.MATCH, ("s", "c"))),
+            (Toolbox(), Action(Tool.CODE_INTERPRETER, ("exit 0",))),
+        ],
+    )
+    def test_unconfigured_tools_become_observations(self, toolbox, action):
+        result = toolbox.dispatch(action)
+        assert result.success is False
+        assert result.observation_text.startswith(
+            f"TOOL_ERROR: {action.tool.value} is not configured ("
+        )
+
+    def test_failing_match_judge_becomes_observation(self, templates):
+        chat = RaisingChat(RetryExhaustedError("gave up after 4 attempts"))
+        toolbox = Toolbox(chat=chat, match_template=templates["match"], match_mode="llm")
+        result = toolbox.dispatch(Action(Tool.MATCH, ("s", "c")))
+        assert (result.observation_text, result.success) == (
+            "TOOL_ERROR: gave up after 4 attempts",
+            False,
+        )
+
+    def test_interrupt_still_propagates(self, templates):
+        chat = RaisingChat(KeyboardInterrupt())
+        toolbox = Toolbox(chat=chat, match_template=templates["match"], match_mode="llm")
+        with pytest.raises(KeyboardInterrupt):
+            toolbox.dispatch(Action(Tool.MATCH, ("s", "c")))
+
+
+class RaisingChat:
+    """Chat provider whose every call raises the given exception."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def complete(self, request):
+        raise self.exc
+
+
+# Configured with an executor that ignores its argument, and with nothing at all.
+_PROPERTY_TOOLBOXES = (basic_toolbox(code_executor=["true"]), Toolbox())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    toolbox=st.sampled_from(_PROPERTY_TOOLBOXES),
+    tool=st.sampled_from(list(Tool)),
+    args=st.lists(st.one_of(st.text(), st.integers()), max_size=3),
+)
+def test_dispatch_never_raises(toolbox, tool, args):
+    result = toolbox.dispatch(Action(tool, tuple(args)))
+    assert isinstance(result.observation_text, str) and isinstance(result.success, bool)

@@ -22,7 +22,7 @@ from leap.core import (
     canonical_json,
     load_claims,
     load_trajectories,
-    read_record_lines,
+    read_records,
     serialize,
     write_claims,
     write_record_lines,
@@ -47,7 +47,7 @@ def _write_report(report, path):
 
 
 def _load_verdicts(path):
-    return read_record_lines(path, lambda line, i: VerdictRecord.from_dict(json.loads(line), line=i))
+    return read_records(path, VerdictRecord)
 
 
 # file name -> (load, write)
