@@ -30,10 +30,11 @@ from .core import (
     VerificationStrategy,
     advantage_value,
     count_tool_calls,
+    record_id,
     strategy_id,
 )
 from .errors import AgentFormatError, ReactParseError, SchemaError
-from .memory import ReflectionRecord, ValueSample, record_id
+from .memory import ReflectionRecord, ValueSample
 from .prompts import (
     PromptTemplate,
     format_claim_block,

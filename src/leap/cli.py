@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .agents import Decoding
 from .backend import HashingEmbedder, HttpBackend, ScriptedProvider
 from .config import Config, config_hash, default_config, load_config
 from .core import TOOL_BY_NAME, Action, load_trajectories, write_record_lines
@@ -34,7 +33,7 @@ from .evaluation import (
 from .loops import Runtime, curate, export_sft
 from .memory import Memories
 from .prompts import load_templates
-from .tools import FixtureSearch, HttpSearch, Toolbox
+from .tools import SIGNATURES, FixtureSearch, HttpSearch, Toolbox
 
 logger = logging.getLogger(__name__)
 
@@ -119,18 +118,11 @@ def _build_backend(config: Config):
 
 
 def _build_toolbox(config: Config, chat, embedder, templates) -> Toolbox:
-    provider_cfg = config.tools.search_provider
-    search = None
-    if provider_cfg is not None:
-        if provider_cfg["kind"] == "fixture":
-            search = FixtureSearch.from_file(provider_cfg["path"])
-        else:
-            optional = {
-                k: provider_cfg[k]
-                for k in ("query_param", "results_field", "title_field", "snippet_field")
-                if k in provider_cfg
-            }
-            search = HttpSearch(url=provider_cfg["url"], **optional)
+    search, p = None, config.tools.search_provider
+    if p is not None and p.kind == "fixture":
+        search = FixtureSearch.from_file(p.path)
+    elif p is not None:
+        search = HttpSearch(p.url, p.query_param, p.results_field, p.title_field, p.snippet_field)
     return Toolbox(
         search=search,
         embedder=embedder,
@@ -156,16 +148,7 @@ def _build_runtime(config: Config) -> Runtime:
         templates=templates,
         config=config.learning,
         theta_corr=config.correction.theta_corr,
-        decoding_learn=Decoding(
-            temperature=config.decoding.temperature_learn,
-            top_p=config.decoding.top_p_learn,
-            max_tokens=config.decoding.max_tokens,
-        ),
-        decoding_eval=Decoding(
-            temperature=config.decoding.temperature_eval,
-            top_p=1.0,
-            max_tokens=config.decoding.max_tokens,
-        ),
+        decoding=config.decoding,
     )
 
 
@@ -203,8 +186,6 @@ def cmd_detect(args) -> int:
     )
     if args.online_memory:
         memories.persist(config.paths.memory_dir)
-    for claim_id, message in failures:
-        logger.warning("claim %s failed: %s", claim_id, message)
     logger.info("detection: %d verdicts, %d failures", len(results), len(failures))
     return 0
 
@@ -230,8 +211,6 @@ def cmd_eval(args) -> int:
     memories = _load_memories(config)
     runtime = _build_runtime(config)
     results, failures = runtime.run_detection(claims, memories, out_path=None)
-    for claim_id, message in failures:
-        logger.warning("claim %s failed: %s", claim_id, message)
     by_id = {c.id: c for c in claims}
     per_claim = [
         PerClaim(
@@ -258,8 +237,13 @@ def cmd_tool(args) -> int:
     templates = load_templates(config.paths.prompts_dir)
     chat, embedder = _build_backend(config)
     toolbox = _build_toolbox(config, chat, embedder, templates)
-    converted = [int(a) if re.fullmatch(r"-?\d+", a) else a for a in args.args]
-    action = Action(tool=TOOL_BY_NAME[args.name], args=tuple(converted))
+    tool = TOOL_BY_NAME[args.name]
+    # An argument is an integer only where the tool's signature takes one.
+    kinds = [kind for _, kind in SIGNATURES[tool].params] + ["str"] * len(args.args)
+    converted = [
+        int(a) if k == "int" and re.fullmatch(r"-?\d+", a) else a for a, k in zip(args.args, kinds)
+    ]
+    action = Action(tool=tool, args=tuple(converted))
     result = toolbox.dispatch(action)
     print(json.dumps(asdict(result)))
     return 0

@@ -1,41 +1,52 @@
 """Configuration file loading and validation.
 
 One JSON file with six sections: backend, decoding, learning, correction,
-tools, and paths. Each section is a frozen dataclass, and loading is derived
-from it: the fields name the accepted keys and their defaults, the field
-annotations give the value types, and each dataclass checks its own ranges.
-Unknown keys are rejected. The effective config (``effective_dict``, defaults
-filled in) round-trips: loading it back gives the same config.
+tools, and paths. Each section, and the search provider inside ``tools``, is
+a ``core.Record`` and decodes through the record codec: the fields name the
+accepted keys and their defaults, the annotations give the value types, and
+each record checks its own ranges. Unknown keys are rejected, and every error
+names the offending ``section.key``. A missing section takes its defaults, so
+``Config()`` is the default configuration. The effective config
+(``effective_dict``, defaults filled in) round-trips: loading it back gives
+the same config.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any
 
-from .core import WIRE_KEYS, _wire, canonical_json, wire_value
+from .core import WIRE_KEYS, Record, _wire, canonical_json
 from .errors import ConfigError, SchemaError
-from .loops import LearningConfig
 
 __all__ = [
     "BackendConfig",
     "DecodingConfig",
+    "LearningConfig",
     "CorrectionConfig",
+    "SearchProviderConfig",
     "ToolsConfig",
     "PathsConfig",
     "Config",
     "default_config",
     "load_config",
+    "config_from_dict",
     "effective_dict",
     "config_hash",
 ]
 
 
+def _at_least_one(record: Any, *names: str) -> None:
+    for name in names:
+        if getattr(record, name) < 1:
+            raise SchemaError(f"{name} must be at least 1", field=name)
+
+
 @dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(Record):
     base_url: str = "http://localhost:8000/v1"
     model: str = "local-chat"
     api_key_env: str = "LEAP_API_KEY"
@@ -43,12 +54,11 @@ class BackendConfig:
     embed_dim: int = 64
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 1:
-            raise SchemaError("embed_dim must be at least 1")
+        _at_least_one(self, "embed_dim")
 
 
 @dataclass(frozen=True)
-class DecodingConfig:
+class DecodingConfig(Record):
     # Teacher-side generation samples at full temperature for diversity;
     # evaluation decodes greedily for reproducibility.
     temperature_learn: float = 1.0
@@ -59,21 +69,65 @@ class DecodingConfig:
     def __post_init__(self) -> None:
         for name in ("temperature_learn", "temperature_eval"):
             if not 0.0 <= getattr(self, name) <= 2.0:
-                raise SchemaError(f"{name} must be in [0, 2]")
+                raise SchemaError(f"{name} must be in [0, 2]", field=name)
         if not 0.0 < self.top_p_learn <= 1.0:
-            raise SchemaError("top_p_learn must be in (0, 1]")
-        if self.max_tokens < 1:
-            raise SchemaError("max_tokens must be at least 1")
+            raise SchemaError("top_p_learn must be in (0, 1]", field="top_p_learn")
+        _at_least_one(self, "max_tokens")
 
 
 @dataclass(frozen=True)
-class CorrectionConfig:
+class LearningConfig(Record):
+    """Knobs of the learning loop; the seed fixes all stochastic choices."""
+
+    gamma: float = 1.0
+    lam: float = 0.1
+    k_reflections: int = 3
+    k_precedents_pos: int = 2
+    k_precedents_neg: int = 2
+    max_steps: int = 10
+    memory_cap: int | None = 1400
+    seed: int = 0
+    concurrency: int = 4
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.gamma <= 1.0:
+            raise SchemaError(f"gamma {self.gamma} outside [0, 1]", field="gamma")
+        if self.lam < 0.0:
+            raise SchemaError("lambda must be non-negative", field="lambda")
+        _at_least_one(self, "k_reflections", "k_precedents_pos", "k_precedents_neg", "max_steps")
+        if self.memory_cap is not None and self.memory_cap < 1:
+            raise SchemaError("memory_cap must be positive or None", field="memory_cap")
+        _at_least_one(self, "concurrency")
+
+
+@dataclass(frozen=True)
+class CorrectionConfig(Record):
     theta_corr: float = 0.0
 
 
 @dataclass(frozen=True)
-class ToolsConfig:
-    search_provider: dict | None = None
+class SearchProviderConfig(Record):
+    """A fixture file (``path``) or a generic JSON endpoint (``url`` and field names)."""
+
+    kind: str
+    path: str | None = None
+    url: str | None = None
+    query_param: str = "q"
+    results_field: str = "results"
+    title_field: str = "title"
+    snippet_field: str = "snippet"
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("fixture", "http"):
+            raise SchemaError('kind must be "fixture" or "http"', field="kind")
+        location = "path" if self.kind == "fixture" else "url"
+        if getattr(self, location) is None:
+            raise SchemaError(f"{self.kind} provider needs a {location}", field=location)
+
+
+@dataclass(frozen=True)
+class ToolsConfig(Record):
+    search_provider: SearchProviderConfig | None = None
     search_k: int = 3
     match_threshold: float = 0.80
     match_mode: str = "embedding"
@@ -82,49 +136,32 @@ class ToolsConfig:
     code_parallelism: int = 1
 
     def __post_init__(self) -> None:
-        provider = self.search_provider
-        if provider is not None:
-            kind = provider.get("kind")
-            if kind not in ("fixture", "http"):
-                raise SchemaError('search_provider needs "kind": "fixture" or "http"')
-            location = "path" if kind == "fixture" else "url"
-            if not isinstance(provider.get(location), str):
-                raise SchemaError(f"search_provider ({kind}) needs a string {location}")
         if not -1.0 <= self.match_threshold <= 1.0:
-            raise SchemaError("match_threshold must be in [-1, 1]")
+            raise SchemaError("match_threshold must be in [-1, 1]", field="match_threshold")
         if self.match_mode not in ("embedding", "llm"):
-            raise SchemaError('match_mode must be "embedding" or "llm"')
-        for name in ("search_k", "code_timeout_ms", "code_parallelism"):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"{name} must be at least 1")
+            raise SchemaError('match_mode must be "embedding" or "llm"', field="match_mode")
+        _at_least_one(self, "search_k", "code_timeout_ms", "code_parallelism")
 
 
 @dataclass(frozen=True)
-class PathsConfig:
+class PathsConfig(Record):
     prompts_dir: str | None = None
     memory_dir: str = "memory"
     out_dir: str = "out"  # accepted but not read: every command takes --out
 
 
 @dataclass(frozen=True)
-class Config:
-    backend: BackendConfig
-    decoding: DecodingConfig
-    learning: LearningConfig
-    correction: CorrectionConfig
-    tools: ToolsConfig
-    paths: PathsConfig
+class Config(Record):
+    backend: BackendConfig = BackendConfig()
+    decoding: DecodingConfig = DecodingConfig()
+    learning: LearningConfig = LearningConfig()
+    correction: CorrectionConfig = CorrectionConfig()
+    tools: ToolsConfig = ToolsConfig()
+    paths: PathsConfig = PathsConfig()
 
 
 def default_config() -> Config:
-    return Config(
-        backend=BackendConfig(),
-        decoding=DecodingConfig(),
-        learning=LearningConfig(),
-        correction=CorrectionConfig(),
-        tools=ToolsConfig(),
-        paths=PathsConfig(),
-    )
+    return Config()
 
 
 def load_config(path: str | Path) -> Config:
@@ -139,35 +176,10 @@ def load_config(path: str | Path) -> Config:
 
 
 def config_from_dict(raw: Any) -> Config:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    sections = get_type_hints(Config)
-    unknown = set(raw) - set(sections)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     try:
-        return Config(
-            **{name: _load_section(cls, name, raw.get(name, {})) for name, cls in sections.items()}
-        )
+        return Config.from_dict(raw)
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _load_section(cls: type, name: str, obj: Any) -> Any:
-    """Build one section from its dataclass: known keys only, typed by annotation."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    hints = get_type_hints(cls)
-    field_of_key = {WIRE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
-    unknown = set(obj) - set(field_of_key)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    return cls(
-        **{
-            field_of_key[key]: wire_value(hints[field_of_key[key]], value, f"{name}.{key}", None)
-            for key, value in obj.items()
-        }
-    )
 
 
 def _wire_dict(items: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -14,7 +14,7 @@ objects and an ``Embedding`` as the base64 text of its entries as
 little-endian float64s, which keeps every bit. On input, a field without
 a default is required and a field with a default is optional, unknown keys
 are rejected, and ``wire_value`` checks each value against the field's
-annotation; the config loader uses the same checker. Errors carry the line
+annotation; the config sections are records too. Errors carry the line
 number and the field path, e.g. ``steps[1].action.tool``.
 """
 
@@ -57,6 +57,7 @@ __all__ = [
     "answer_verdict",
     "count_tool_calls",
     "advantage_value",
+    "record_id",
     "strategy_id",
     "trajectory_id",
     "render_action",
@@ -524,17 +525,18 @@ def count_tool_calls(trajectory: Trajectory) -> int:
     return sum(1 for s in trajectory.steps if s.action.tool is not Tool.GET_ANSWER)
 
 
+def record_id(*parts: Any) -> str:
+    """Short content hash of the parts, so identical content gets the same id on rerun."""
+    return hashlib.sha256(canonical_json(list(parts)).encode("utf-8")).hexdigest()[:16]
+
+
 def strategy_id(strategy: VerificationStrategy) -> str:
     """Short content hash identifying a strategy within an episode."""
-    payload = canonical_json(["strategy", strategy.to_dict()])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return record_id("strategy", strategy.to_dict())
 
 
 def trajectory_id(claim_id: str, strategy: VerificationStrategy, steps: Iterable[Step]) -> str:
-    payload = canonical_json(
-        ["trajectory", claim_id, strategy.to_dict(), [s.to_dict() for s in steps]]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return record_id("trajectory", claim_id, strategy.to_dict(), [s.to_dict() for s in steps])
 
 
 # --- ReAct surface rendering ------------------------------------------------

@@ -259,7 +259,9 @@ class EvalReport(Record):
 def build_report(
     dataset: str, per_claim: Sequence[PerClaim], failed: Sequence[str] = ()
 ) -> EvalReport:
-    metrics = compute_metrics([(p.gold, p.predicted) for p in per_claim])
+    pairs = [(p.gold, p.predicted) for p in per_claim]
+    # With every sampled claim failed, the metrics are zero and ``failed`` lists them all.
+    metrics = compute_metrics(pairs) if pairs else Metrics(0, 0.0, 0.0, 0.0, 0.0, Confusion(0, 0, 0, 0))
     return EvalReport(
         dataset=dataset,
         n=metrics.n,

@@ -42,19 +42,20 @@ from .core import (
     answer_verdict,
     canonical_json,
     linearize_target,
+    record_id,
     serialize,
     strategy_id,
     write_record_lines,
 )
-from .errors import CurationError, LeapError, SchemaError
-from .memory import Memories, PrecedentRecord, ReflectionRecord, ValueSample, record_id
+from .config import DecodingConfig, LearningConfig
+from .errors import CurationError, SchemaError
+from .memory import Memories, PrecedentRecord, ReflectionRecord, ValueSample
 from .prompts import format_claim_block, format_state
 from .tools import Toolbox
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "LearningConfig",
     "ExpertRecord",
     "ExpertDataset",
     "RunReport",
@@ -65,36 +66,6 @@ __all__ = [
     "curate",
     "export_sft",
 ]
-
-
-@dataclass(frozen=True)
-class LearningConfig:
-    """Knobs of the learning loop; the seed fixes all stochastic choices."""
-
-    gamma: float = 1.0
-    lam: float = 0.1
-    k_reflections: int = 3
-    k_precedents_pos: int = 2
-    k_precedents_neg: int = 2
-    max_steps: int = 10
-    memory_cap: int | None = 1400
-    seed: int = 0
-    concurrency: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise SchemaError(f"gamma {self.gamma} outside [0, 1]")
-        if self.lam < 0.0:
-            raise SchemaError("lambda must be non-negative")
-        for name in ("k_reflections", "k_precedents_pos", "k_precedents_neg"):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"{name} must be at least 1")
-        if self.max_steps < 1:
-            raise SchemaError("max_steps must be at least 1")
-        if self.memory_cap is not None and self.memory_cap < 1:
-            raise SchemaError("memory_cap must be positive or None")
-        if self.concurrency < 1:
-            raise SchemaError("concurrency must be at least 1")
 
 
 def terminal_reward(verdict: Label, gold: Label | None) -> float:
@@ -193,15 +164,16 @@ class Runtime:
         templates: dict,
         config: LearningConfig,
         theta_corr: float = 0.0,
-        decoding_learn: Decoding = Decoding(temperature=1.0, top_p=1.0),
-        decoding_eval: Decoding = Decoding(temperature=0.0, top_p=1.0),
+        decoding: DecodingConfig = DecodingConfig(),
     ):
         self.embedder = embedder
         self.toolbox = toolbox
         self.config = config
         self.theta_corr = theta_corr
-        self.decoding_learn = decoding_learn
-        self.decoding_eval = decoding_eval
+        self.decoding_learn = Decoding(
+            decoding.temperature_learn, decoding.top_p_learn, decoding.max_tokens
+        )
+        self.decoding_eval = Decoding(decoding.temperature_eval, 1.0, decoding.max_tokens)
         self.planner = Planner(chat, templates["planner"])
         self.actor = Actor(chat, templates["actor"])
         self.critic = Critic(chat, templates["critic"])
@@ -236,7 +208,7 @@ class Runtime:
 
         Returns the finished results in dataset order, the (claim id, message)
         failures in dataset order, and whether a KeyboardInterrupt stopped the
-        batch early. A LeapError fails only its own claim unless strict; any
+        batch early. Any Exception fails only its own claim unless strict; an
         exception that ends the batch keeps queued claims from starting.
         """
         results: list[Any] = [None] * len(claims)
@@ -250,7 +222,7 @@ class Runtime:
             try:
                 results[index] = run(claim)
             except BaseException as exc:
-                if isinstance(exc, LeapError) and not strict:
+                if isinstance(exc, Exception) and not strict:
                     logger.warning("%s failed for claim %s: %s", what, claim.id, exc)
                     failures.append((index, claim.id, str(exc)))
                     return

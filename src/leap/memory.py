@@ -22,7 +22,6 @@ little-endian float64 entries. Loading reads the file through
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 from contextlib import closing
@@ -40,6 +39,7 @@ from .core import (
     _loads_line,
     canonical_json,
     read_lines,
+    record_id,
     wire_value,
     write_record_lines,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "ValueSample",
     "MemoryStore",
     "Memories",
-    "record_id",
+    "record_id",  # re-exported from core
 ]
 
 DEFAULT_CAP = 1400
@@ -61,11 +61,6 @@ _FIRST_ROWS = 64
 
 # The header line of a persisted store, field by field.
 _HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str}
-
-
-def record_id(*parts: Any) -> str:
-    """Content-addressed record id so identical inserts deduplicate on rerun."""
-    return hashlib.sha256(canonical_json(list(parts)).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,12 @@ class Memories:
     def load_or_fresh(
         cls, directory: str | Path, dim: int, cap: int | None = DEFAULT_CAP
     ) -> "Memories":
+        """The stores saved in ``directory``, whose dim must be ``dim``, else fresh stores."""
         directory = Path(directory)
-        if (directory / "reflections.jsonl").exists():
-            return cls.load(directory)
-        return cls.fresh(dim, cap)
+        if not (directory / "reflections.jsonl").exists():
+            return cls.fresh(dim, cap)
+        memories = cls.load(directory)
+        for store in (memories.reflections, memories.precedents, memories.values):
+            if store.dim != dim:
+                raise SchemaError(f"{store.kind}s.jsonl has dim {store.dim}, the embedder has dim {dim}")
+        return memories

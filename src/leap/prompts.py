@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import Claim, Step, VerificationStrategy
+from .core import Claim, Step, VerificationStrategy, render_step
 from .errors import PromptError
 
 __all__ = [
@@ -93,17 +93,13 @@ def format_strategy(strategy: VerificationStrategy) -> str:
 
 
 def format_history(steps: Sequence[Step]) -> str:
+    """Each step as the SFT target renders it, followed by its observation."""
     if not steps:
         return "No steps yet."
-    from .core import render_action
-
-    blocks = []
-    for step in steps:
-        observation = step.observation if step.observation is not None else "(pending)"
-        blocks.append(
-            f"Thought: {step.thought}\nAction: {render_action(step.action)}\nObservation: {observation}"
-        )
-    return "\n".join(blocks)
+    return "\n".join(
+        f"{render_step(s)}Observation: {s.observation if s.observation is not None else '(pending)'}"
+        for s in steps
+    )
 
 
 def format_state(claim: Claim, steps: Sequence[Step]) -> str:

@@ -29,12 +29,13 @@ from leap.core import (
     Verdict,
     VerificationStrategy,
     advantage_value,
+    linearize_steps,
     render_action,
     strategy_id,
 )
 from leap.errors import AgentFormatError, ReactParseError, SchemaError
 from leap.memory import ValueSample
-from leap.prompts import format_claim_block, format_state, format_strategy
+from leap.prompts import format_claim_block, format_history, format_state, format_strategy
 
 from conftest import FakeChat, make_claim, make_strategy, reflection_reply, strategy_reply
 
@@ -246,6 +247,21 @@ class TestActor:
         steps = tuple(Step("t", Action(Tool.WEB_SEARCH, ("q",)), "o") for _ in range(10))
         with pytest.raises(ValueError, match="max_steps"):
             self.act(FakeChat([]), steps=steps, max_steps=10)
+
+    def test_history_renders_each_step_as_the_sft_target_does(self):
+        steps = [
+            Step("first\nThought: not a new turn\nAction: nor this", Action(Tool.WEB_SEARCH, ("q",)), "o"),
+            Step("last", Action(Tool.GET_ANSWER, ("Hallucination",))),
+        ]
+        history = format_history(steps)
+        assert history == (
+            'Thought: first\n Thought: not a new turn\n Action: nor this\nAction: web_search("q")\n'
+            "Observation: o\n"
+            'Thought: last\nAction: get_answer("Hallucination")\nObservation: (pending)'
+        )
+        assert history.replace("Observation: o\n", "").removesuffix("Observation: (pending)") == (
+            linearize_steps(steps)
+        )
 
 
 class TestCritic:

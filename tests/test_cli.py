@@ -43,11 +43,11 @@ class TestConfig:
         assert config_hash(reloaded) == config_hash(config)
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="sections"):
+        with pytest.raises(ConfigError, match=r"unknown field \(field: decodng\)"):
             config_from_dict({"decodng": {}})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ConfigError, match=r"unknown field \(field: learning\.gama\)"):
             config_from_dict({"learning": {"gama": 1.0}})
 
     @pytest.mark.parametrize(
@@ -285,6 +285,58 @@ class TestEvalCommand:
         assert (report.n, report.failed) == (3, (workspace.claims[3].id,))
 
 
+    def test_every_sampled_claim_failed_is_still_reported(self, workspace, capsys):
+        two = workspace.root / "two.jsonl"
+        write_claims(two, workspace.claims[:2])
+        entries = []
+        for claim in workspace.claims[2:]:  # no script for either claim in the dataset
+            entries.extend(detection_entries(claim, score=0.4, verdict="Hallucination"))
+        workspace._activate("detect-script.jsonl", entries)
+        code = main(["eval", "--config", workspace.config, "--dataset", str(two)])
+        assert code == 0
+        assert "failed: 2 of 2 sampled" in capsys.readouterr().out
+        code = main(
+            ["eval", "--config", workspace.config, "--dataset", str(two), "--report-format", "machine"]
+        )
+        assert code == 0
+        from leap.evaluation import parse_report
+
+        report = parse_report(capsys.readouterr().out.strip())
+        assert (report.n, report.accuracy, report.f1) == (0, 0.0, 0.0)
+        assert report.failed == tuple(c.id for c in workspace.claims[:2])
+
+
+class TestBadReplyFailsOnlyItsClaim:
+    """A reply whose thought holds a lone surrogate (the JSON escape \\ud800)."""
+
+    def _run(self, workspace, command, entries_for):
+        two = workspace.root / "two.jsonl"
+        write_claims(two, workspace.claims[:2])
+        good, bad = workspace.claims[:2]
+        entries = entries_for(good, step_actions=(f'web_search("{good.query}")',))
+        bad_entries = entries_for(bad, step_actions=(f'web_search("{bad.query}")',))
+        for entry in bad_entries:
+            entry["reply"] = entry["reply"].replace("working on step 1", "working on \ud800 step 1")
+        workspace._activate("script.jsonl", entries + bad_entries)
+        out = workspace.root / "out"
+        flag = "--dataset" if command == "learn" else "--claims"
+        assert main([command, "--config", workspace.config, flag, str(two), "--out", str(out)]) == 0
+        return out, good, bad
+
+    def test_learn_writes_the_other_trajectory(self, workspace):
+        def entries_for(claim, step_actions):
+            return episode_entries(claim, step_actions=step_actions, values=(0.1, 0.2, 0.6))
+
+        out, good, bad = self._run(workspace, "learn", entries_for)
+        assert [t.claim_id for t in load_trajectories(out / "trajectories.jsonl")] == [good.id]
+        failures = [json.loads(l) for l in (out / "failures.jsonl").read_text().splitlines()]
+        assert [f["claim_id"] for f in failures] == [bad.id]
+
+    def test_detect_writes_the_other_verdict(self, workspace):
+        out, good, _ = self._run(workspace, "detect", detection_entries)
+        assert [json.loads(l)["claim_id"] for l in out.read_text().splitlines()] == [good.id]
+
+
 class TestToolCommand:
     def test_calculator_prints_tool_result_json(self, workspace, capsys):
         workspace.use_detect_script()
@@ -301,6 +353,24 @@ class TestToolCommand:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["observation_text"] == "count=3, meets=true"
+
+
+    @pytest.mark.parametrize(
+        "args,observation",
+        [
+            (["calculator", "42"], "42"),
+            (["split_text", "2024"], '["2024"]'),
+            (["web_search", "2024"], "SEARCH_ERROR: no fixture"),
+            (["get_answer", "Hallucination", "12"], "Hallucination | 12"),
+            (["word_count", "x", "a b"], "TOOL_ERROR: word_count argument 0 (length) must be an integer"),
+        ],
+    )
+    def test_arguments_are_integers_only_where_the_signature_says(
+        self, workspace, capsys, args, observation
+    ):
+        workspace.use_detect_script()
+        assert main(["tool", *args, "--config", workspace.config]) == 0
+        assert json.loads(capsys.readouterr().out)["observation_text"] == observation
 
 
 class TestExitCodes:
@@ -369,6 +439,20 @@ class TestExitCodes:
         )
         assert code == 2  # a corrupt store is a runtime failure, as for any store error
         assert capsys.readouterr().err == "error: line 1: not UTF-8\n"
+
+    def test_store_dim_that_differs_from_the_embedder_is_reported(self, workspace, capsys):
+        from leap.memory import Memories
+
+        workspace.use_learn_script()
+        Memories.fresh(dim=4).persist(workspace.root / "memory")
+        code = main(
+            ["learn", "--config", workspace.config, "--dataset", str(workspace.claims_path),
+             "--out", str(workspace.root / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: reflections.jsonl has dim 4, the embedder has dim 16\n"
+        assert not (workspace.root / "o").exists()  # no claim ran
 
     def test_unlabeled_eval_dataset_is_validation_error(self, workspace, tmp_path):
         workspace.use_detect_script()

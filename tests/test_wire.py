@@ -3,6 +3,7 @@
 The files under ``golden/`` were written by the hand-written encoders that
 preceded the shared record codec; the three store files have since had their
 embeddings re-encoded, bit for bit, from lists of floats to base64 float64s.
+``config.jsonl`` is the effective default configuration on one line.
 Loading each file and writing it back must reproduce it byte for byte, and
 every record type must reject a malformed line with its line number and the
 path of the offending field.
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from leap.backend import load_script
+from leap.config import Config, effective_dict
 from leap.core import (
     canonical_json,
     load_claims,
@@ -50,9 +52,14 @@ def _load_verdicts(path):
     return read_records(path, VerdictRecord)
 
 
+def _write_configs(configs, path):
+    write_record_lines(path, (canonical_json(effective_dict(c)) for c in configs))
+
+
 # file name -> (load, write)
 ROUND_TRIPS = {
     "claims.jsonl": (load_claims, lambda claims, path: write_claims(path, claims)),
+    "config.jsonl": (lambda path: read_records(path, Config), _write_configs),
     "trajectories.jsonl": (load_trajectories, lambda ts, path: write_trajectories(path, ts)),
     "reflections.jsonl": (MemoryStore.load, lambda store, path: store.persist(path)),
     "precedents.jsonl": (MemoryStore.load, lambda store, path: store.persist(path)),
@@ -211,6 +218,49 @@ REJECTIONS = {
         ("verdicts.jsonl", 1, "scores[0].extra", 1, "unknown field", r"scores\[0\]\.extra"),
         ("verdicts.jsonl", 2, "scores[0].score", "low", "", r"scores\[0\]\.score"),
         ("verdicts.jsonl", 2, "scores[0].approved", True, "approved must equal", r"scores\[0\]"),
+    ],
+    "Config": [
+        ("config.jsonl", 1, "decodng", {}, "unknown field", "decodng"),
+        ("config.jsonl", 1, "backend", [], "expected an object", "backend"),
+        ("config.jsonl", 1, "paths", None, "expected an object", "paths"),
+    ],
+    "BackendConfig": [
+        ("config.jsonl", 1, "backend.extra", 1, "unknown field", r"backend\.extra"),
+        ("config.jsonl", 1, "backend.embed_dim", True, "", r"backend\.embed_dim"),
+        ("config.jsonl", 1, "backend.embed_dim", 0, "embed_dim must be at least 1", r"backend\.embed_dim"),
+    ],
+    "DecodingConfig": [
+        ("config.jsonl", 1, "decoding.extra", 1, "unknown field", r"decoding\.extra"),
+        ("config.jsonl", 1, "decoding.max_tokens", 1.0, "", r"decoding\.max_tokens"),
+        ("config.jsonl", 1, "decoding.top_p_learn", 0.0, "top_p_learn must be in", r"decoding\.top_p_learn"),
+    ],
+    "LearningConfig": [
+        ("config.jsonl", 1, "learning.gama", 1.0, "unknown field", r"learning\.gama"),
+        ("config.jsonl", 1, "learning.lam", 0.1, "unknown field", r"learning\.lam"),
+        ("config.jsonl", 1, "learning.memory_cap", True, "", r"learning\.memory_cap"),
+        ("config.jsonl", 1, "learning.lambda", -0.1, "lambda must be non-negative", r"learning\.lambda"),
+        ("config.jsonl", 1, "learning.concurrency", 0, "concurrency must be at least 1", r"learning\.concurrency"),
+    ],
+    "CorrectionConfig": [
+        ("config.jsonl", 1, "correction.extra", 1, "unknown field", r"correction\.extra"),
+        ("config.jsonl", 1, "correction.theta_corr", "0", "", r"correction\.theta_corr"),
+    ],
+    "SearchProviderConfig": [
+        ("config.jsonl", 1, "tools.search_provider", {"url": "http://x"}, "missing field", r"tools\.search_provider\.kind"),
+        ("config.jsonl", 1, "tools.search_provider", {"kind": "http", "url": "http://x", "query_parm": "q"}, "unknown field", r"tools\.search_provider\.query_parm"),
+        ("config.jsonl", 1, "tools.search_provider", {"kind": "http", "url": "http://x", "title_field": 7}, "", r"tools\.search_provider\.title_field"),
+        ("config.jsonl", 1, "tools.search_provider", {"kind": "dns"}, "kind must be", r"tools\.search_provider\.kind"),
+        ("config.jsonl", 1, "tools.search_provider", {"kind": "fixture", "url": "http://x"}, "fixture provider needs a path", r"tools\.search_provider\.path"),
+    ],
+    "ToolsConfig": [
+        ("config.jsonl", 1, "tools.extra", 1, "unknown field", r"tools\.extra"),
+        ("config.jsonl", 1, "tools.code_executor", "python3 -c", "", r"tools\.code_executor"),
+        ("config.jsonl", 1, "tools.code_executor", ["python3", 1], "", r"tools\.code_executor\[1\]"),
+        ("config.jsonl", 1, "tools.match_mode", "regex", "match_mode must be", r"tools\.match_mode"),
+    ],
+    "PathsConfig": [
+        ("config.jsonl", 1, "paths.extra", 1, "unknown field", r"paths\.extra"),
+        ("config.jsonl", 1, "paths.prompts_dir", 7, "", r"paths\.prompts_dir"),
     ],
 }
 
