@@ -1,7 +1,8 @@
 """Command-line entry point: learn, detect, export-sft, eval, and tool.
 
 Exit codes: 0 success, 1 validation problem (flags, config, dataset format),
-2 runtime failure. Diagnostics go to stderr; data goes to files or stdout.
+2 runtime failure, an interrupted run, or a learn or detect batch in which no
+claim completed. Diagnostics go to stderr; data goes to files or stdout.
 Setting LEAP_BACKEND=scripted:<fixture-path> forces the scripted chat
 provider and the deterministic embedder for any subcommand, which makes every
 workflow runnable offline.
@@ -158,6 +159,14 @@ def _load_memories(config: Config) -> Memories:
     )
 
 
+def _batch_status(completed: int, failed: int) -> int:
+    """Exit status of a batch whose artifacts are written: 2 if no claim completed."""
+    if completed == 0 and failed > 0:
+        sys.stderr.write(f"error: no claim completed ({failed} failed)\n")
+        return 2
+    return 0
+
+
 def cmd_learn(args) -> int:
     config = load_config(args.config)
     claims = load_dataset(args.dataset, args.dataset_format)
@@ -173,7 +182,7 @@ def cmd_learn(args) -> int:
         report.failed,
         report.reflected,
     )
-    return 0
+    return _batch_status(report.completed, report.failed)
 
 
 def cmd_detect(args) -> int:
@@ -187,7 +196,7 @@ def cmd_detect(args) -> int:
     if args.online_memory:
         memories.persist(config.paths.memory_dir)
     logger.info("detection: %d verdicts, %d failures", len(results), len(failures))
-    return 0
+    return _batch_status(len(results), len(failures))
 
 
 def cmd_export_sft(args) -> int:

@@ -7,12 +7,19 @@ scales this runtime operates at (around 10^3 records, capped by default near
 the point where retrieval quality degrades) exact search is cheap and lets
 tests check results against an exhaustive oracle.
 
-Layout. Each store keeps its records in a list and their embeddings in one
-contiguous float64 matrix, row ``i`` for record ``i``, so a query is one
-vectorised distance pass. The matrix doubles as records arrive, never past
-the cap; once the store is full, each insert overwrites the oldest record's
-row, a ring buffer, so eviction moves nothing. Records keep their own
-read-only vectors, so an evicted record handed out earlier stays intact.
+Layout. Each store keeps its records in a list, their embeddings in one
+contiguous float64 matrix, row ``i`` for record ``i``, and each row's squared
+norm beside it. The matrix doubles as records arrive, never past the cap; once
+the store is full, each insert overwrites the oldest record's row, a ring
+buffer, so eviction moves nothing. Records keep their own read-only vectors,
+so an evicted record handed out earlier stays intact.
+
+Search. A query is filtered in one matrix-vector product: the squared
+distance ``‖m‖² − 2 m·q + ‖q‖²`` of every row, from the cached norms, with a
+proven bound on its rounding error. Only the rows that bound cannot rule out
+of the top k are then re-ranked by the exact expression
+``sqrt(sum((m − q)²))``, so every result, distance ties included, is the one
+an exhaustive exact pass gives.
 
 The file form does not depend on the layout: a header line, then one record
 per line in insertion order, each embedding written as the base64 text of its
@@ -58,6 +65,18 @@ DEFAULT_CAP = 1400
 
 # Rows a store's matrix starts with; it doubles as records arrive.
 _FIRST_ROWS = 64
+
+# The filter's bound on a squared distance's rounding error is
+# ``4 (d + 3) (eps S + tiny)``, with ``S = 2 (‖m‖² + ‖q‖²) ≥ (‖m‖ + ‖q‖)²``
+# and ``tiny`` the least subnormal. The filtered value and the exact one
+# together err by at most about ``(d + 2) eps (‖m‖ + ‖q‖)²``, plus ``3 d``
+# half-subnormals where products underflow (Higham, Accuracy and Stability of
+# Numerical Algorithms, §2.1 and §3.1). The factor 4 leaves a gap of at least
+# ``(d + 3) (eps S + tiny)`` beyond both, so a row the filter drops has an
+# exact squared distance at least 4 eps above the k-th: its square root is
+# strictly greater, and it cannot even tie with a kept row.
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 # The header line of a persisted store, field by field.
 _HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str}
@@ -121,9 +140,10 @@ class MemoryStore:
     ``kind`` names the record type held ("reflection", "precedent", or
     "value"). With a cap configured, inserting past it evicts the oldest
     record. Row ``i`` of the matrix holds the embedding of ``_records[i]``;
-    once the store is full, the oldest record sits at ``_head``. Inserts and
-    snapshot reads (the distance pass included) are serialized by a lock, so
-    retrieval never observes a half-inserted record or a row being reused.
+    ``_sqnorms[i]`` is that row's squared norm. Once the store is full, the
+    oldest record sits at ``_head``. Inserts and snapshot reads (the
+    matrix-vector filter included) are serialized by a lock, so retrieval
+    never observes a half-inserted record or a row being reused.
     """
 
     def __init__(self, kind: str, dim: int, cap: int | None = DEFAULT_CAP):
@@ -138,6 +158,7 @@ class MemoryStore:
         self.cap = cap
         self._records: list[Any] = []
         self._matrix = np.empty((0, dim))
+        self._sqnorms = np.empty(0)
         self._head = 0
         self._lock = threading.Lock()
 
@@ -166,7 +187,9 @@ class MemoryStore:
                 if row == len(self._matrix):
                     self._grow()
                 self._records.append(record)
-            self._matrix[row] = record.embedding.vector
+            vector = record.embedding.vector
+            self._matrix[row] = vector
+            self._sqnorms[row] = vector.dot(vector)
         return record.id
 
     def _grow(self) -> None:
@@ -174,9 +197,10 @@ class MemoryStore:
         rows = max(_FIRST_ROWS, 2 * len(self._matrix))
         if self.cap is not None:
             rows = min(rows, self.cap)
-        matrix = np.empty((rows, self.dim))
+        matrix, sqnorms = np.empty((rows, self.dim)), np.empty(rows)
         matrix[: len(self._matrix)] = self._matrix
-        self._matrix = matrix
+        sqnorms[: len(self._sqnorms)] = self._sqnorms
+        self._matrix, self._sqnorms = matrix, sqnorms
 
     def records(self) -> list[Any]:
         """Snapshot of the store contents in insertion order."""
@@ -196,24 +220,42 @@ class MemoryStore:
         """The k records nearest to the query by Euclidean distance.
 
         Results are sorted ascending by distance; ties break toward older
-        records. Exact exhaustive search, no approximation: one distance
-        pass over the live rows, then the predicate on the snapshot.
+        records. Exact search: the predicate selects from a snapshot, a
+        matrix-vector filter with a proven error bound keeps every row that
+        could be among the k nearest, and those few are re-ranked by the
+        exact distance. If a filtered value or its bound is not finite
+        (embeddings near 1e154 overflow), every selected row is re-ranked.
         """
         if k < 1:
             raise SchemaError("k must be at least 1")
         if query.dim != self.dim:
             raise SchemaError(f"query dim {query.dim} does not match store dim {self.dim}")
-        with self._lock:
+        q, c = query.vector, 4 * (self.dim + 3)
+        # A value that overflows shows as a bound that is not finite.
+        with self._lock, np.errstate(over="ignore", invalid="ignore"):
             head, records = self._head, self._in_order()
-            distances = np.sqrt(((self._matrix[: len(records)] - query.vector) ** 2).sum(axis=1))
-        # Rows are in ring order; rotate them into insertion order, so that a
-        # stable sort breaks ties toward older records.
-        distances = np.roll(distances, -head)
+            sqnorms, qq = self._sqnorms[: len(records)], q.dot(q)
+            approx = sqnorms - 2.0 * self._matrix[: len(records)].dot(q) + qq
+            bound = (2 * c * _EPS) * sqnorms + c * (2 * _EPS * qq + _TINY)
+            lower, upper = approx - bound, approx + bound
         if predicate is None:
-            return [records[i] for i in np.argsort(distances, kind="stable")[:k]]
-        keep = np.array([i for i, r in enumerate(records) if predicate(r)], dtype=np.intp)
-        order = np.argsort(distances[keep], kind="stable")[:k]
-        return [records[i] for i in keep[order]]
+            keep = np.arange(len(records))
+        else:
+            keep = np.array([i for i, r in enumerate(records) if predicate(r)], dtype=np.intp)
+        if not len(keep):
+            return []
+        # Rows are in ring order; row (i + head) % n holds the i-th oldest record.
+        rows = (keep + head) % len(records)
+        lower, upper = lower[rows], upper[rows]
+        # An upper bound is finite only where its value and bound are.
+        if len(keep) > k and np.isfinite(upper).all():
+            keep = keep[lower <= np.partition(upper, k - 1)[k - 1]]
+        # A record's own vector equals its row, and stays put once the lock is
+        # released. Candidates are in insertion order, so a stable sort breaks
+        # ties toward older records.
+        candidates = np.array([records[i].embedding.vector for i in keep])
+        distances = np.sqrt(((candidates - q) ** 2).sum(axis=1))
+        return [records[i] for i in keep[np.argsort(distances, kind="stable")[:k]]]
 
     def persist(self, path: str | Path) -> None:
         """Write the store to a file atomically: one header line, then one record per line."""
@@ -289,12 +331,21 @@ class Memories:
     def load_or_fresh(
         cls, directory: str | Path, dim: int, cap: int | None = DEFAULT_CAP
     ) -> "Memories":
-        """The stores saved in ``directory``, whose dim must be ``dim``, else fresh stores."""
+        """The stores saved in ``directory``, whose dim must be ``dim``, else fresh stores.
+
+        Saved stores take ``cap``; one holding more records keeps the newest,
+        as if they had been inserted under that cap.
+        """
         directory = Path(directory)
         if not (directory / "reflections.jsonl").exists():
             return cls.fresh(dim, cap)
-        memories = cls.load(directory)
-        for store in (memories.reflections, memories.precedents, memories.values):
+        stores = {}
+        for name, store in vars(cls.load(directory)).items():
             if store.dim != dim:
                 raise SchemaError(f"{store.kind}s.jsonl has dim {store.dim}, the embedder has dim {dim}")
-        return memories
+            if store.cap != cap:
+                records, store = store.records(), MemoryStore(store.kind, dim, cap)
+                for record in records:
+                    store.insert(record)
+            stores[name] = store
+        return cls(**stores)

@@ -337,6 +337,35 @@ class TestBadReplyFailsOnlyItsClaim:
         assert [json.loads(l)["claim_id"] for l in out.read_text().splitlines()] == [good.id]
 
 
+class TestNothingCompleted:
+    """A batch in which every claim failed writes its artifacts, then exits 2."""
+
+    def _run(self, workspace, capsys, command, out):
+        two = workspace.root / "two.jsonl"
+        write_claims(two, workspace.claims[:2])
+        entries = []
+        for claim in workspace.claims[2:]:  # no script for either claim in the batch
+            entries.extend(detection_entries(claim, score=0.4, verdict="Hallucination"))
+        workspace._activate("script.jsonl", entries)
+        flag = "--dataset" if command == "learn" else "--claims"
+        code = main([command, "--config", workspace.config, flag, str(two), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: no claim completed (2 failed)"
+
+    def test_learn(self, workspace, capsys):
+        out = workspace.root / "run1"
+        self._run(workspace, capsys, "learn", out)
+        assert load_trajectories(out / "trajectories.jsonl") == []
+        assert len((out / "failures.jsonl").read_text().splitlines()) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["counts"]["completed"], manifest["counts"]["failed"]) == (0, 2)
+
+    def test_detect(self, workspace, capsys):
+        out = workspace.root / "verdicts.jsonl"
+        self._run(workspace, capsys, "detect", out)
+        assert out.read_text() == ""
+
+
 class TestToolCommand:
     def test_calculator_prints_tool_result_json(self, workspace, capsys):
         workspace.use_detect_script()

@@ -186,6 +186,113 @@ def test_retrieval_equals_the_oracle_after_eviction_and_ties(cap, pool, inserts,
         assert [r.id for r in store.retrieve_top_k(q, k, predicate)] == expected
 
 
+def exact_pass_top_k(store, query, k, predicate=None):
+    """The reference: one exact distance pass over every live row, then the
+    predicate, then a stable sort in insertion order."""
+    records = store.records()
+    if not records:
+        return []
+    matrix = np.array([r.embedding.vector for r in records])
+    distances = np.sqrt(((matrix - query.vector) ** 2).sum(axis=1))
+    keep = np.array([i for i, r in enumerate(records) if predicate is None or predicate(r)], dtype=np.intp)
+    return [records[i] for i in keep[np.argsort(distances[keep], kind="stable")[:k]]]
+
+
+# How each inserted row (and the query) is made: near a shared centre (a near
+# tie that the filter computes with cancellation), at random, or from an
+# earlier row.
+_ROW = st.one_of(
+    st.tuples(st.just("near"), st.integers(0, 17)),  # the centre moved by 10**-e of its norm
+    st.tuples(st.just("fresh"), st.integers(-165, 150)),  # a random row of norm 10**e
+    st.tuples(st.just("dup"), st.integers(0, 99)),  # an earlier row again
+    st.tuples(st.just("ulp"), st.integers(0, 99)),  # an earlier row, one entry one ulp up
+)
+
+
+def _random_row(dim, norm, rng):
+    return rng.standard_normal(dim) / np.sqrt(dim) * norm
+
+
+def _make_row(how, centre, earlier, rng):
+    op, arg = how
+    if op == "near" or (op != "fresh" and not earlier):
+        exponent = arg if op == "near" else 0
+        return centre + _random_row(len(centre), np.linalg.norm(centre) * 10.0**-exponent, rng)
+    if op == "fresh":
+        return _random_row(len(centre), 10.0**arg, rng)
+    row = earlier[arg % len(earlier)].copy()
+    if op == "ulp":
+        at = rng.integers(len(row))
+        row[at] = np.nextafter(row[at], np.inf)
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([1, 64, 1536]),
+    cap=st.one_of(st.none(), st.integers(1, 30)),
+    centre=st.integers(-165, 150),  # the centre's norm is 10**centre
+    rows=st.lists(st.tuples(_ROW, st.sampled_from([-1.0, 0.0, 0.5])), max_size=45),
+    query=_ROW,
+    k=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filtered_retrieval_equals_the_exact_pass(dim, cap, centre, rows, query, k, seed):
+    """Duplicate rows, rows one ulp apart, near ties, norms from 1e-165 to
+    1e150, k at or past the live rows, predicates keeping none, one, some or
+    all rows, and a ring wrapped by inserts past the cap."""
+    rng = np.random.default_rng(seed)
+    centre = _random_row(dim, 10.0**centre, rng)
+    store = MemoryStore("precedent", dim, cap=cap)
+    vectors = []
+    for i, (how, advantage) in enumerate(rows):
+        vectors.append(_make_row(how, centre, vectors, rng))
+        store.insert(precedent(i, advantage, Embedding.of(vectors[-1])))
+    q = Embedding.of(_make_row(query, centre, vectors, rng))
+    live = store.records()
+    one = live[len(live) // 2].id if live else None
+    predicates = (
+        None,
+        lambda r: False,
+        lambda r: True,
+        lambda r: r.id == one,
+        lambda r: r.advantage > 0,
+        lambda r: r.advantage <= 0,
+    )
+    for predicate in predicates:
+        assert store.retrieve_top_k(q, k, predicate) == exact_pass_top_k(store, q, k, predicate)
+
+
+@pytest.mark.parametrize("dim", [1, 64, 1536])
+def test_underflowing_rows_match_the_exact_pass(dim):
+    """Near ties at norms from 1e-150 to 1e-165, where squares and products
+    underflow into subnormals and the filter's error is absolute, not relative."""
+    rng = np.random.default_rng(dim)
+    for exponent in range(150, 166):
+        centre = rng.standard_normal(dim) * 10.0**-exponent
+        store = MemoryStore("value", dim, cap=None)
+        for i in range(20):
+            spread = 10.0 ** -(exponent + int(rng.integers(0, 4)))
+            store.insert(value_sample(i, Embedding.of(centre + rng.standard_normal(dim) * spread)))
+        q = Embedding.of(centre + rng.standard_normal(dim) * 10.0 ** -(exponent + 1))
+        for k in (1, 3):
+            assert store.retrieve_top_k(q, k) == exact_pass_top_k(store, q, k)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("query_scale", [1.0, 1e155])
+def test_overflowing_rows_fall_back_to_the_exact_pass(query_scale):
+    """Rows near 1e155 overflow the filter's squared norms; the result is the
+    exact pass's, infinite distances tied toward older records."""
+    rng = np.random.default_rng(3)
+    store = MemoryStore("value", 64, cap=None)
+    for i, scale in enumerate([1e155, 1.0, 1e155, 2.0, -1e155, 0.5]):
+        store.insert(value_sample(i, Embedding.of(rng.standard_normal(64) * scale)))
+    q = Embedding.of(rng.standard_normal(64) * query_scale)
+    for k in range(1, 7):
+        assert store.retrieve_top_k(q, k) == exact_pass_top_k(store, q, k)
+
+
 class TestMatrix:
     def test_embeddings_are_read_only(self):
         store = MemoryStore("value", DIM)
@@ -418,6 +525,25 @@ class TestPersistence:
         assert len(loaded.precedents) == 1
         assert len(loaded.reflections) == 1
         assert loaded.reflections.records()[0].principles == ("be precise",)
+
+    def test_load_or_fresh_takes_the_configured_cap(self, tmp_path):
+        Memories.fresh(DIM, cap=1400).persist(tmp_path / "empty")
+        assert Memories.load_or_fresh(tmp_path / "empty", DIM, 200).reflections.cap == 200
+        memories = Memories.fresh(DIM, cap=5)
+        for i in range(5):
+            memories.values.insert(value_sample(i, Embedding.of([float(i)] * DIM)))
+        memories.persist(tmp_path)
+        loaded = Memories.load_or_fresh(tmp_path, DIM, 3)
+        assert [s.cap for s in (loaded.reflections, loaded.precedents, loaded.values)] == [3] * 3
+        # The newest records stay, and the next insert evicts the oldest of them.
+        assert [r.id for r in loaded.values.records()] == ["v00002", "v00003", "v00004"]
+        loaded.values.insert(value_sample(5, Embedding.of([5.0] * DIM)))
+        assert [r.id for r in loaded.values.records()] == ["v00003", "v00004", "v00005"]
+        assert loaded.values.retrieve_top_k(Embedding.of([4.9] * DIM), 1)[0].id == "v00005"
+        loaded.persist(tmp_path)
+        assert json.loads((tmp_path / "values.jsonl").read_text().splitlines()[0])["cap"] == 3
+        unbounded = Memories.load_or_fresh(tmp_path, DIM, None)
+        assert unbounded.values.cap is None and len(unbounded.values) == 3
 
 
 class TestRecordInvariants:
