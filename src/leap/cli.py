@@ -172,9 +172,15 @@ def cmd_learn(args) -> int:
     claims = load_dataset(args.dataset, args.dataset_format)
     memories = _load_memories(config)
     runtime = _build_runtime(config)
-    report = runtime.run_learning(
-        claims, memories, args.out, strict=args.strict, config_hash=config_hash(config)
-    )
+    try:
+        report = runtime.run_learning(
+            claims, memories, args.out, strict=args.strict, config_hash=config_hash(config)
+        )
+    except KeyboardInterrupt:
+        # The stores hold the finished episodes only: an episode inserts
+        # after its last model call.
+        memories.persist(config.paths.memory_dir)
+        raise
     memories.persist(config.paths.memory_dir)
     logger.info(
         "learning run: %d completed, %d failed, %d reflected",

@@ -9,30 +9,31 @@ to share across worker threads.
 The wire rule. A ``Record``'s wire form is derived from its dataclass: one
 key per field, in field order, named after the field unless ``WIRE_KEYS``
 renames it (``lam`` is written ``lambda``). A ``None`` value is left out.
-Enums are written as their value, tuples as lists, nested records as
-objects and an ``Embedding`` as the base64 text of its entries as
-little-endian float64s, which keeps every bit. On input, a field without
-a default is required and a field with a default is optional, unknown keys
-are rejected, and ``wire_value`` checks each value against the field's
+Enums are written as their value, tuples as lists and nested records as
+objects. An ``Embedding`` has no text form: the codec passes the instance
+through both ways, and a memory store's file holds its row index in a
+matrix file instead (see ``memory``). On input, a field without a default
+is required and a field with a default is optional, unknown keys are
+rejected, and ``wire_value`` checks each value against the field's
 annotation; the config sections are records too. Errors carry the line
 number and the field path, e.g. ``steps[1].action.tool``.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
 import os
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import IO, Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -138,8 +139,11 @@ class Record:
 class Embedding:
     """A fixed-length vector of finite reals, held as a read-only float64 array.
 
-    The array is the embedding's own copy, so a store reusing a matrix row
-    never changes an embedding handed out before.
+    No code ever writes to the array, so an embedding's values never change.
+    It is the embedding's own copy, or, for a record loaded from a store, a
+    row of the store file's read-only matrix (``rows_of``); either way, a
+    store reusing one of its own matrix rows never changes an embedding
+    handed out before.
     """
 
     vector: np.ndarray
@@ -173,6 +177,22 @@ class Embedding:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"embedding entries must be numbers: {exc}") from None
         return cls(vector=vector, dim=vector.size)
+
+    @classmethod
+    def rows_of(cls, matrix: np.ndarray) -> list["Embedding"]:
+        """One embedding per row of a 2-D float64 matrix, each a view of its row, not a copy.
+
+        The caller has checked that every entry is finite and hands the matrix
+        over: it is made read-only here, and nothing may write to it again.
+        """
+        matrix.flags.writeable = False
+        embeddings = []
+        for row in matrix:
+            embedding = object.__new__(cls)
+            object.__setattr__(embedding, "vector", row)
+            object.__setattr__(embedding, "dim", row.size)
+            embeddings.append(embedding)
+        return embeddings
 
 
 class _Codec:
@@ -240,21 +260,8 @@ def _checker(hint: Any) -> Callable[[Any, str, int | None], Any]:
         return lambda v, field, line: float(v) if _is_number(v) else bad(field, line)
     if hint is int:
         return lambda v, field, line: v if _is_number(v) and isinstance(v, int) else bad(field, line)
-    if hint in (str, bool, dict):
+    if hint in (str, bool, dict, Embedding):
         return lambda v, field, line: v if isinstance(v, hint) else bad(field, line)
-    if hint is Embedding:
-
-        def embedding(v: Any, field: str, line: int | None) -> Embedding:
-            try:
-                vector = np.frombuffer(base64.b64decode(v, validate=True), "<f8")
-            except (TypeError, ValueError):  # not text, not base64, or not whole float64s
-                bad(field, line)
-            try:
-                return Embedding(vector, vector.size)
-            except SchemaError as exc:
-                raise exc.located(line, field) from None
-
-        return embedding
     if isinstance(hint, type) and issubclass(hint, Enum):  # every enum here has string values
         members = hint._value2member_map_
         return lambda v, field, line: (
@@ -307,7 +314,7 @@ def _describe(hint: Any) -> str:
     if hint in _PLAIN:
         return _PLAIN[hint]
     if hint is Embedding:
-        return "base64 little-endian float64s"
+        return "an Embedding"
     if isinstance(hint, type) and issubclass(hint, Enum):
         return f"one of {[m.value for m in hint]}"
     if isinstance(hint, type) and issubclass(hint, Record):
@@ -322,8 +329,6 @@ def _wire(value: Any) -> Any:
     """The wire form of a field value."""
     if isinstance(value, Record):
         return value.to_dict()
-    if isinstance(value, Embedding):
-        return base64.b64encode(value.vector.astype("<f8", copy=False).tobytes()).decode("ascii")
     if isinstance(value, tuple):
         return [v if type(v) in _PLAIN else _wire(v) for v in value]
     if isinstance(value, Enum):
@@ -638,27 +643,35 @@ def read_records(path: str | Path, cls: type) -> list[Any]:
     return [cls.from_dict(_loads_line(line, i), line=i) for i, line in read_lines(path)]
 
 
-def write_record_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write one record per line, atomically: readers see the old file or the whole new one.
+@contextmanager
+def atomic_file(path: str | Path, binary: bool = False) -> Iterator[IO[Any]]:
+    """A file to write in place of ``path``: readers see the old file or the whole new one.
 
-    The lines go to a temporary file beside ``path``, which then replaces it.
+    The writes go to a temporary file beside ``path``, which replaces it when
+    the block ends without an exception; otherwise ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                n = 0
-                for line in lines:
-                    fh.write(line + "\n")
-                    n += 1
+            with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8") as fh:
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
+def write_record_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write one record per line, atomically (``atomic_file``)."""
+    n = 0
+    with atomic_file(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+            n += 1
     return n
 
 

@@ -1,9 +1,10 @@
 """Orchestration: the learning loop, detection with proactive correction,
 trajectory curation, and SFT export.
 
-A learning episode runs retrieve-plan-execute-evaluate and then applies the
-memory updates in that order: the precedent and the per-state value samples
-always land, a reflection lands only when the advantage is strictly negative.
+A learning episode runs retrieve-plan-execute-evaluate, reflects when the
+advantage is strictly negative, and only after that last model call applies
+the memory updates: the precedent and the per-state value samples always
+land, the reflection when there is one.
 Detection pre-scores the planned strategy and allows exactly one
 reflection-driven revision before execution. Claims are independent units of
 work; the memory stores are the only shared mutable state.
@@ -287,6 +288,11 @@ class Runtime:
         )
         # The id does not cover the advantage report, so attaching it keeps the id.
         trajectory = replace(trajectory, advantage=report)
+        # The stores change only after the episode's last model call, so an
+        # episode interrupted or failed at any call leaves no record behind.
+        reflection = None
+        if report.advantage < 0:
+            reflection = self.reflector.reflect_failure(claim, claim_emb, trajectory, decoding)
 
         memories.precedents.insert(
             PrecedentRecord(
@@ -306,8 +312,7 @@ class Runtime:
                     embedding=emb,
                 )
             )
-        if report.advantage < 0:
-            reflection = self.reflector.reflect_failure(claim, claim_emb, trajectory, decoding)
+        if reflection is not None:
             memories.reflections.insert(reflection)
         return trajectory
 

@@ -11,8 +11,8 @@ Layout. Each store keeps its records in a list, their embeddings in one
 contiguous float64 matrix, row ``i`` for record ``i``, and each row's squared
 norm beside it. The matrix doubles as records arrive, never past the cap; once
 the store is full, each insert overwrites the oldest record's row, a ring
-buffer, so eviction moves nothing. Records keep their own read-only vectors,
-so an evicted record handed out earlier stays intact.
+buffer, so eviction moves nothing. Records keep read-only vectors apart from
+that matrix, so an evicted record handed out earlier stays intact.
 
 Search. A query is filtered in one matrix-vector product: the squared
 distance ``‖m‖² − 2 m·q + ‖q‖²`` of every row, from the cached norms, with a
@@ -21,15 +21,22 @@ of the top k are then re-ranked by the exact expression
 ``sqrt(sum((m − q)²))``, so every result, distance ties included, is the one
 an exhaustive exact pass gives.
 
-The file form does not depend on the layout: a header line, then one record
-per line in insertion order, each embedding written as the base64 text of its
-little-endian float64 entries. Loading reads the file through
-``core.read_lines``, a line at a time, so a store's text is never held whole.
+Files (store format v2). A store persisted at ``values.jsonl`` is a pair:
+that file holds a header line, then one record per line, oldest first, whose
+``embedding`` is its row index; ``values.npy`` beside it holds the
+embeddings as one little-endian float64 ``(count, dim)`` matrix in insertion
+order, in NumPy's own format (NEP 1). Both files are written in full; then
+the matrix replaces its old copy, then the lines do. The header holds the
+matrix's sha256, so a torn or mismatched pair fails at load. Loading checks
+the matrix once (its shape, digest and finiteness), gives each record a
+read-only view of its row and fills the store's matrix with one copy. The
+record lines are read through ``core.read_lines``, a line at a time. Stores
+of format v1, with their embeddings inline, are not read.
 """
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -44,13 +51,13 @@ from .core import (
     VerificationStrategy,
     _check_keys,
     _loads_line,
+    atomic_file,
     canonical_json,
     read_lines,
     record_id,
     wire_value,
-    write_record_lines,
 )
-from .errors import SchemaError
+from .errors import SchemaError, StorageError
 
 __all__ = [
     "ReflectionRecord",
@@ -79,7 +86,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
 # The header line of a persisted store, field by field.
-_HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str}
+_HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str, "matrix_sha256": str}
 
 
 @dataclass(frozen=True)
@@ -258,45 +265,128 @@ class MemoryStore:
         return [records[i] for i in keep[np.argsort(distances, kind="stable")[:k]]]
 
     def persist(self, path: str | Path) -> None:
-        """Write the store to a file atomically: one header line, then one record per line."""
-        records = self.records()
+        """Write the store to ``path`` and its matrix beside it, each file atomically.
+
+        Both files are written in full before either replaces its old copy;
+        the matrix goes first, as the record lines name it by its digest.
+        """
+        path, records = Path(path), self.records()
         header = {"dim": self.dim, "cap": self.cap, "count": len(records), "kind": self.kind}
-        write_record_lines(
-            path,
-            itertools.chain(
-                [canonical_json(header)], (canonical_json(r.to_dict()) for r in records)
-            ),
-        )
+        digest = hashlib.sha256()
+        with atomic_file(path) as text, atomic_file(_matrix_path(path), binary=True) as data:
+            # A record's own vector equals its row in insertion order and never
+            # changes, so the rows are written from the records, with no copy
+            # of the matrix and no lock held.
+            np.lib.format.write_array_header_1_0(
+                data, {"descr": "<f8", "fortran_order": False, "shape": (len(records), self.dim)}
+            )
+            for record in records:
+                row = record.embedding.vector.astype("<f8", copy=False)
+                digest.update(row)
+                data.write(row)
+            header["matrix_sha256"] = digest.hexdigest()
+            text.write(canonical_json(header) + "\n")
+            for row, record in enumerate(records):
+                line = record.to_dict()
+                line["embedding"] = row
+                text.write(canonical_json(line) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryStore":
-        """Read a persisted store a line at a time, checking every line."""
+        """Read a persisted store and its matrix, checking every line and the pair."""
+        path = Path(path)
         with closing(read_lines(path)) as lines:
             first = next(lines, None)
             if first is None:
                 raise SchemaError("store file is empty (missing header)", line=1)
             at, text = first  # the header
             header = _loads_line(text, at)
+            if isinstance(header, dict) and header.keys() == _HEADER.keys() - {"matrix_sha256"}:
+                raise SchemaError(
+                    f"{path.name} has no matrix: it is a v1 store, with its embeddings inline;"
+                    " only v2 stores, with a .npy matrix beside them, are read",
+                    line=at,
+                    field="matrix_sha256",
+                )
             _check_keys(header, set(_HEADER), set(), "", at)
             decoded = {key: wire_value(hint, header[key], key, at) for key, hint in _HEADER.items()}
+            count = decoded["count"]
             try:
                 store = cls(decoded["kind"], decoded["dim"], decoded["cap"])
+                if store.cap is not None and count > store.cap:
+                    raise SchemaError(f"count {count} exceeds the cap", field="count")
             except SchemaError as exc:
                 raise exc.located(at, "") from None
+            matrix = _load_matrix(path, count, store.dim, decoded["matrix_sha256"])
+            embeddings = Embedding.rows_of(matrix)
             record_type = _KINDS[store.kind]
-            for i, line in lines:
-                record = record_type.from_dict(_loads_line(line, i), line=i)
-                try:
-                    store.insert(record)
-                except SchemaError as exc:
-                    raise exc.located(i, "") from None
-        if len(store) != decoded["count"]:
+            for row, (i, line) in enumerate(lines):
+                if row == count:
+                    raise SchemaError(
+                        f"header declares {count} records, file holds more", line=at, field="count"
+                    )
+                obj = _loads_line(line, i)
+                if isinstance(obj, dict) and "embedding" in obj:
+                    # The codec takes the Embedding in place of its checked row index.
+                    if type(obj["embedding"]) is not int or obj["embedding"] != row:
+                        name = _matrix_path(path).name
+                        raise SchemaError(f"expected row {row} of {name}", line=i, field="embedding")
+                    obj["embedding"] = embeddings[row]
+                store._records.append(record_type.from_dict(obj, line=i))
+        if len(store) != count:
             raise SchemaError(
-                f"header declares {decoded['count']} records, file holds {len(store)}",
-                line=at,
-                field="count",
+                f"header declares {count} records, file holds {len(store)}", line=at, field="count"
             )
+        store._matrix = np.array(matrix)
+        store._sqnorms = np.einsum("ij,ij->i", matrix, matrix)
         return store
+
+
+def _matrix_path(path: Path) -> Path:
+    """The ``.npy`` file that holds the matrix of the store file at ``path``."""
+    return path.with_suffix(".npy")
+
+
+def _load_matrix(store_path: Path, count: int, dim: int, sha256: str) -> np.ndarray:
+    """The checked ``(count, dim)`` matrix of finite float64s beside a store file."""
+    path = _matrix_path(store_path)
+    try:
+        with path.open("rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except FileNotFoundError:
+        raise SchemaError(f"{path.name} is missing", field="matrix_sha256") from None
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, EOFError) as exc:
+        raise SchemaError(
+            f"{path.name} is not a .npy matrix: {exc}", field="matrix_sha256"
+        ) from None
+    if (
+        not isinstance(matrix, np.ndarray)
+        or matrix.dtype != np.dtype("<f8")
+        or not matrix.flags.c_contiguous
+        or trailing
+    ):
+        raise SchemaError(
+            f"{path.name} does not hold just little-endian float64s in C order",
+            field="matrix_sha256",
+        )
+    if matrix.shape != (count, dim):
+        raise SchemaError(
+            f"{path.name} holds a matrix of shape {matrix.shape},"
+            f" the header declares ({count}, {dim})",
+            field="count" if matrix.shape[1:] == (dim,) else "dim",
+        )
+    if hashlib.sha256(matrix).hexdigest() != sha256:
+        raise SchemaError(
+            f"{path.name} does not match the digest in {store_path.name}", field="matrix_sha256"
+        )
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise SchemaError(f"row {row} of {path.name} is not finite", field="embedding")
+    return matrix
 
 
 @dataclass

@@ -377,6 +377,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
                 "reflections": (root / "memory" / "reflections.jsonl").read_bytes(),
                 "precedents": (root / "memory" / "precedents.jsonl").read_bytes(),
                 "values": (root / "memory" / "values.jsonl").read_bytes(),
+                **{f"{name}.npy": (root / "memory" / f"{name}.npy").read_bytes()
+                   for name in ("reflections", "precedents", "values")},
                 "sft": (root / "sft.jsonl").read_bytes(),
                 "verdicts": (root / "verdicts.jsonl").read_bytes(),
                 "report": (root / "report.json").read_bytes(),

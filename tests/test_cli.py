@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from leap.backend import ScriptedProvider
 from leap.cli import main
 from leap.config import (
     config_from_dict,
@@ -18,6 +19,8 @@ from leap.config import (
 )
 from leap.core import Label, load_trajectories, write_claims
 from leap.errors import ConfigError
+from leap.memory import Memories
+from leap.prompts import format_claim_block
 
 from conftest import detection_entries, episode_entries, make_claim, write_script
 
@@ -189,6 +192,46 @@ class TestLearnCommand:
         memory_dir = workspace.root / "memory"
         for name in ("reflections", "precedents", "values"):
             assert (memory_dir / f"{name}.jsonl").exists()
+
+
+    def test_interrupted_run_persists_the_episodes_that_finished(self, workspace, monkeypatch, capsys):
+        claims = workspace.claims
+        # A wrong verdict, so every episode ends with a reflection: its last model call.
+        scripts = {
+            c.id: episode_entries(
+                c,
+                step_actions=(f'web_search("{c.query}")',),
+                verdict="Not Hallucination",
+                values=(0.1, 0.2, 0.6),
+                reflection=True,
+            )
+            for c in claims
+        }
+        workspace._activate("learn-script.jsonl", [e for c in claims for e in scripts[c.id]])
+        stopped, asked = claims[2], []
+        real = ScriptedProvider.complete
+
+        def complete(provider, request):
+            if stopped.query in request.text():
+                asked.append(request)
+                if len(asked) == len(scripts[stopped.id]):
+                    raise KeyboardInterrupt
+            return real(provider, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", complete)
+        code = main(
+            ["learn", "--config", workspace.config, "--dataset", str(workspace.claims_path),
+             "--out", str(workspace.root / "o")]
+        )
+        assert code == 2 and capsys.readouterr().err.endswith("interrupted\n")
+        memories = Memories.load(workspace.root / "memory")
+        finished = [format_claim_block(c) for c in claims[:2]]
+        assert [r.claim_text for r in memories.precedents.records()] == finished
+        assert [r.key_text for r in memories.reflections.records()] == finished
+        # States s_0 .. s_2 of each finished episode.
+        assert [
+            next(c.id for c in claims if c.query in r.state_summary) for r in memories.values.records()
+        ] == [claims[0].id] * 3 + [claims[1].id] * 3
 
 
 class TestDetectCommand:
@@ -470,8 +513,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: line 1: not UTF-8\n"
 
     def test_store_dim_that_differs_from_the_embedder_is_reported(self, workspace, capsys):
-        from leap.memory import Memories
-
         workspace.use_learn_script()
         Memories.fresh(dim=4).persist(workspace.root / "memory")
         code = main(

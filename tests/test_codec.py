@@ -45,7 +45,7 @@ def test_codec_writes_the_golden_lines(name):
         (str | int, 7, 7),
         (Label, "NotHallucination", Label.NOT_HALLUCINATION),
         (tuple[str, ...], ["a", "b"], ("a", "b")),
-        (Embedding, "AAAAAAAA8D8AAAAAAADgPw==", Embedding((1.0, 0.5), 2)),  # 1.0, 0.5
+        (Embedding, Embedding((1.0, 0.5), 2), Embedding((1.0, 0.5), 2)),  # passed through
         (Verdict | None, {"label": "Hallucination"}, Verdict(Label.HALLUCINATION)),
     ],
 )
@@ -66,10 +66,11 @@ def test_wire_value_accepts_and_converts(hint, value, expected):
         (tuple[str | int, ...], ["a", False], r"expected a string or an integer \(field: f\[1\]\)"),
         (tuple[str, ...], "ab", r"expected a list \(field: f\)"),
         (Verdict | None, {"label": "x"}, r"\(field: f\.label\)"),
-        (Embedding, [0.5, 1.0], r"expected base64 little-endian float64s \(field: f\)"),
-        (Embedding, "AAAA*AAA", r"expected base64 little-endian float64s \(field: f\)"),
-        (Embedding, "AAAAAAAAAAAAAAAA", r"expected base64 little-endian float64s \(field: f\)"),
-        (Embedding, "AAAAAAAA4D8AAAAAAAD4fw==", r"embedding entries must be finite \(field: f\)"),
+        # An embedding has no text form: a store puts it in place of its row index.
+        (Embedding, [0.5, 1.0], r"expected an Embedding \(field: f\)"),
+        (Embedding, "AAAAAAAA8D8AAAAAAADgPw==", r"expected an Embedding \(field: f\)"),
+        (Embedding, 0, r"expected an Embedding \(field: f\)"),
+        (Embedding, None, r"expected an Embedding \(field: f\)"),
     ],
 )
 def test_wire_value_rejects(hint, value, message):

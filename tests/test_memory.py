@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from leap.memory import (
 from conftest import make_strategy
 
 DIM = 8
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
 
 def vec(rng):
@@ -263,6 +266,60 @@ def test_filtered_retrieval_equals_the_exact_pass(dim, cap, centre, rows, query,
         assert store.retrieve_top_k(q, k, predicate) == exact_pass_top_k(store, q, k, predicate)
 
 
+# Entries whose bits a decimal or rounded form would lose: signed zeros,
+# subnormals (the least, the greatest and one between), the least normal, a
+# repeating fraction and a large value.
+_BIT_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 2.2250738585072014e-308]
+    + [1 / 3, 1e150]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 64, 1536]),
+    cap=st.one_of(st.none(), st.integers(1, 8)),
+    inserts=st.integers(0, 20),
+    special=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 1535), _BIT_ENTRIES), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_persist_then_load_keeps_every_record_bit_and_result(dim, cap, inserts, special, seed):
+    """Empty stores, rings wrapped by inserts past the cap and uncapped
+    stores, at dims 1, 64 and 1536."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((inserts, dim))
+    for i, j, x in special:
+        if i < inserts:
+            vectors[i, j % dim] = x
+    store = MemoryStore("precedent", dim, cap=cap)
+    for i, v in enumerate(vectors):
+        store.insert(precedent(i, float(i % 3) - 1.0, Embedding.of(v)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "precedents.jsonl"
+        store.persist(path)
+        loaded = MemoryStore.load(path)
+    assert (loaded.kind, loaded.dim, loaded.cap) == (store.kind, store.dim, store.cap)
+    assert loaded.records() == store.records()
+
+    def bits(s):
+        return np.array([r.embedding.vector for r in s.records()]).reshape(-1, dim).view(np.uint64)
+
+    assert np.array_equal(bits(loaded), bits(store))
+    # Each loaded record views its row of one read-only matrix; none holds a copy.
+    vectors = [r.embedding.vector for r in loaded.records()]
+    assert all(v.base is vectors[0].base is not None and not v.flags.writeable for v in vectors)
+    queries = [Embedding.of(rng.standard_normal(dim))] + [r.embedding for r in store.records()[:2]]
+    for q in queries:
+        for k in (1, 3):
+            for predicate in (None, lambda r: r.advantage > 0):
+                assert loaded.retrieve_top_k(q, k, predicate) == store.retrieve_top_k(q, k, predicate)
+    # The loaded ring evicts where the original does.
+    for s in (store, loaded):
+        s.insert(precedent(inserts, 1.0, queries[0]))
+    assert loaded.records() == store.records()
+    assert loaded.retrieve_top_k(queries[0], 2) == store.retrieve_top_k(queries[0], 2)
+
+
 @pytest.mark.parametrize("dim", [1, 64, 1536])
 def test_underflowing_rows_match_the_exact_pass(dim):
     """Near ties at norms from 1e-150 to 1e-165, where squares and products
@@ -424,10 +481,11 @@ class TestPersistence:
             ("count", 1.5),
             ("kind", 3),
             ("kind", "memo"),
+            ("matrix_sha256", None),
         ],
     )
     def test_bad_header_value_names_line_1_and_the_field(self, tmp_path, field, value):
-        header = {"dim": 4, "cap": None, "count": 0, "kind": "value"}
+        header = {"dim": 4, "cap": None, "count": 0, "kind": "value", "matrix_sha256": EMPTY_SHA256}
         header[field] = value
         path = tmp_path / "values.jsonl"
         path.write_text(json.dumps(header) + "\n")
@@ -487,7 +545,7 @@ class TestPersistence:
             store.insert(value_sample(i, Embedding.of([0.1 * i] * DIM)))
         path = tmp_path / "values.jsonl"
         store.persist(path)
-        before = path.read_bytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         store.insert(value_sample(5, Embedding.of([0.9] * DIM)))
         real = leap.memory.canonical_json
         lines = []
@@ -501,9 +559,98 @@ class TestPersistence:
         monkeypatch.setattr(leap.memory, "canonical_json", failing)
         with pytest.raises(StorageError, match="disk full"):
             store.persist(path)
-        assert len(lines) == 4  # the header and two records were written first
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["values.jsonl"]
+        assert len(lines) == 4  # the matrix, the header and two records were written first
+        # Neither file of the pair was replaced, and no temporary file is left.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert sorted(before) == ["values.jsonl", "values.npy"]
+
+    def _persisted(self, directory, first=0.1):
+        store = MemoryStore("value", DIM, cap=4)
+        for i in range(3):
+            store.insert(value_sample(i, Embedding.of([first + i] * DIM)))
+        directory.mkdir(exist_ok=True)
+        store.persist(directory / "values.jsonl")
+        return directory / "values.jsonl", directory / "values.npy"
+
+    def _load_fails(self, path, message):
+        with pytest.raises(SchemaError, match=message):
+            MemoryStore.load(path)
+
+    def _rewrite_header(self, path, **changes):
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(header) | changes
+        path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+
+    def test_torn_pair_fails(self, tmp_path):
+        # Two persists with the same count: one's matrix beside the other's lines.
+        path, matrix = self._persisted(tmp_path / "a")
+        _, other = self._persisted(tmp_path / "b", first=0.2)
+        matrix.write_bytes(other.read_bytes())
+        self._load_fails(
+            path,
+            r"^values\.npy does not match the digest in values\.jsonl \(field: matrix_sha256\)$",
+        )
+
+    def test_missing_matrix_fails(self, tmp_path):
+        path, matrix = self._persisted(tmp_path)
+        matrix.unlink()
+        self._load_fails(path, r"^values\.npy is missing \(field: matrix_sha256\)$")
+
+    @pytest.mark.parametrize(
+        "shape,field", [((2, DIM), "count"), ((3, DIM + 1), "dim"), ((3 * DIM,), "dim")]
+    )
+    def test_shape_mismatch_fails(self, tmp_path, shape, field):
+        path, matrix = self._persisted(tmp_path)
+        np.save(matrix, np.zeros(shape))
+        declared = rf"the header declares \(3, {DIM}\) \(field: {field}\)$"
+        self._load_fails(path, rf"^values\.npy holds a matrix of shape .*, {declared}")
+
+    def test_row_that_is_not_finite_fails(self, tmp_path):
+        path, matrix = self._persisted(tmp_path)
+        values = np.load(matrix)
+        values[1, 2] = np.nan
+        np.save(matrix, values)
+        # The digest is made to match, so only the finiteness check is left.
+        self._rewrite_header(path, matrix_sha256=hashlib.sha256(values).hexdigest())
+        self._load_fails(path, r"^row 1 of values\.npy is not finite \(field: embedding\)$")
+
+    @pytest.mark.parametrize(
+        "bad", [b"not a matrix", b"", "big-endian", "float32", "fortran", "trailing", "objects"]
+    )
+    def test_matrix_file_of_another_form_fails(self, tmp_path, bad):
+        path, matrix = self._persisted(tmp_path)
+        values = np.load(matrix)
+        if isinstance(bad, bytes):
+            matrix.write_bytes(bad)
+        elif bad == "trailing":
+            matrix.write_bytes(matrix.read_bytes() + b"\0" * 8)
+        elif bad == "objects":
+            np.save(matrix, values.astype(object), allow_pickle=True)
+        else:
+            form = {
+                "big-endian": values.astype(">f8"),
+                "float32": values.astype(np.float32),
+                "fortran": np.asfortranarray(values),
+            }
+            np.save(matrix, form[bad])
+        self._load_fails(path, r"^values\.npy .*\(field: matrix_sha256\)$")
+
+    def test_count_past_the_cap_fails(self, tmp_path):
+        path, _ = self._persisted(tmp_path)
+        self._rewrite_header(path, cap=2)
+        self._load_fails(path, r"^line 1: count 3 exceeds the cap \(field: count\)$")
+
+    def test_v1_store_fails_and_names_the_file(self, tmp_path):
+        # The first form: embeddings inline as base64 float64s, no matrix beside the file.
+        path = tmp_path / "values.jsonl"
+        path.write_text(
+            '{"dim":1,"cap":5,"count":1,"kind":"value"}\n'
+            '{"id":"v00000","state_summary":"s","value":0.5,"embedding":"AAAAAAAA4D8="}\n',
+            encoding="utf-8",
+        )
+        self._load_fails(
+            path, r"^line 1: values\.jsonl has no matrix: it is a v1 store.*\(field: matrix_sha256\)$"
+        )
 
     def test_memories_bundle_roundtrip(self, tmp_path):
         memories = Memories.fresh(DIM, cap=10)

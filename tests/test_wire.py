@@ -1,12 +1,13 @@
 """The record wire format, pinned by golden files.
 
 The files under ``golden/`` were written by the hand-written encoders that
-preceded the shared record codec; the three store files have since had their
-embeddings re-encoded, bit for bit, from lists of floats to base64 float64s.
+preceded the shared record codec. The three store files have since moved
+their embeddings, bit for bit, out of the record lines into a ``.npy``
+matrix beside each file, where a record's ``embedding`` is its row.
 ``config.jsonl`` is the effective default configuration on one line.
-Loading each file and writing it back must reproduce it byte for byte, and
-every record type must reject a malformed line with its line number and the
-path of the offending field.
+Loading each file and writing it back must reproduce it byte for byte, its
+matrix included, and every record type must reject a malformed line with
+its line number and the path of the offending field.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def test_golden_file_round_trips_byte_for_byte(tmp_path, name):
     load, write = ROUND_TRIPS[name]
     out = tmp_path / name
     write(load(GOLDEN / name), out)
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        p.name: p.read_bytes() for p in GOLDEN.glob(f"{out.stem}.*")
+    }
 
 
 def test_golden_trajectories_cover_every_optional_field_and_none():
@@ -157,7 +160,7 @@ REJECTIONS = {
     "ReflectionRecord": [
         ("reflections.jsonl", 2, "embedding", _DELETE, "missing field", "embedding"),
         ("reflections.jsonl", 2, "extra", 1, "unknown field", "extra"),
-        ("reflections.jsonl", 2, "embedding", "AAAA*AAA", "expected base64", "embedding"),
+        ("reflections.jsonl", 2, "embedding", "0", "expected row 0 of reflections.npy", "embedding"),
         ("reflections.jsonl", 2, "revised_strategy.plan", "step", "", r"revised_strategy\.plan"),
         ("reflections.jsonl", 3, "revised_strategy.plan", [], "strategy plan must have at least one step", r"revised_strategy\.plan"),
         ("reflections.jsonl", 4, "principles", [], "reflection needs at least one principle", "principles"),
@@ -167,17 +170,18 @@ REJECTIONS = {
         ("precedents.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("precedents.jsonl", 2, "advantage", True, "", "advantage"),
         ("precedents.jsonl", 2, "strategy.problem_type", 1, "", r"strategy\.problem_type"),
-        ("precedents.jsonl", 3, "embedding", [0.5], "expected base64", "embedding"),  # the old list form
-        ("precedents.jsonl", 3, "embedding", "AAAAAAAA4D8=", "record embedding dim 1 does not match store dim 4", "embedding"),
+        ("precedents.jsonl", 3, "embedding", [0.5], "expected row 1 of precedents.npy", "embedding"),  # the first form
+        ("precedents.jsonl", 3, "embedding", "AAAAAAAA4D8=", "expected row 1 of precedents.npy", "embedding"),  # the second
+        ("precedents.jsonl", 3, "embedding", 3, "expected row 1 of precedents.npy", "embedding"),  # out of range
     ],
     "ValueSample": [
         ("values.jsonl", 2, "value", _DELETE, "missing field", "value"),
         ("values.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("values.jsonl", 2, "value", False, "", "value"),
         ("values.jsonl", 2, "embedding", {"0": 1.0}, "", "embedding"),
-        ("values.jsonl", 2, "embedding", "AAAAAAAAAAAAAAAA", "expected base64", "embedding"),  # 12 bytes
-        # 0.1, NaN, 0.0, 0.0
-        ("values.jsonl", 3, "embedding", "mpmZmZmZuT8AAAAAAAD4fwAAAAAAAAAAAAAAAAAAAAA=", "embedding entries must be finite", "embedding"),
+        ("values.jsonl", 2, "embedding", 0.0, "expected row 0 of values.npy", "embedding"),
+        ("values.jsonl", 2, "embedding", False, "expected row 0 of values.npy", "embedding"),
+        ("values.jsonl", 3, "embedding", 0, "expected row 1 of values.npy", "embedding"),  # another record's row
     ],
     "ScriptEntry": [
         ("script.jsonl", 1, "reply", _DELETE, "missing field", "reply"),
@@ -281,6 +285,8 @@ def test_malformed_record_is_rejected_with_its_field_path(
     lines[line_no - 1] = json.dumps(obj, ensure_ascii=False)
     target = tmp_path / name
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for matrix in GOLDEN.glob(f"{target.stem}.npy"):  # a store's matrix, left as it is
+        (tmp_path / matrix.name).write_bytes(matrix.read_bytes())
     # A report is a single line parsed without a line number.
     where = "" if name == "report.jsonl" else f"line {line_no}: "
     load, _ = ROUND_TRIPS[name]
