@@ -13,10 +13,12 @@ import hashlib
 import math
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Protocol
 
+import numpy as np
 import requests
 
 from .core import Embedding, Record, canonical_json, read_records
@@ -156,7 +158,18 @@ class ScriptedProvider:
 
     def __init__(self, entries: Iterable[ScriptEntry]):
         self._entries = list(entries)
-        self._consumed = [False] * len(self._entries)
+        # The first entry of each digest; the unconsumed entries of each claim
+        # key and the unconsumed plain entries, each in file order.
+        self._by_digest: dict[str, int] = {}
+        self._by_claim: dict[str, deque[int]] = {}
+        self._ordinal: deque[int] = deque()
+        for i, entry in enumerate(self._entries):
+            if entry.key is not None:
+                self._by_digest.setdefault(entry.key, i)
+            if entry.claim_key is not None:
+                self._by_claim.setdefault(entry.claim_key, deque()).append(i)
+            elif entry.key is None:
+                self._ordinal.append(i)
         self._lock = threading.Lock()
         self.calls: list[dict[str, str]] = []
 
@@ -172,30 +185,57 @@ class ScriptedProvider:
             if index is None:
                 raise UnmatchedFixtureError(f"no script entry matches request digest {digest}")
             entry = self._entries[index]
-            if entry.key is None:
-                self._consumed[index] = True
+            # An entry with a digest key is never consumed; any other is the
+            # head of its queue.
+            if entry.key is None and entry.claim_key is None:
+                self._ordinal.popleft()
+            elif entry.key is None:
+                queue = self._by_claim[entry.claim_key]
+                queue.popleft()
+                if not queue:
+                    del self._by_claim[entry.claim_key]
             mode = "key" if entry.key else ("claim_key" if entry.claim_key else "ordinal")
             self.calls.append({"digest": digest, "mode": mode, "reply": entry.reply})
             return entry.reply
 
     def _find(self, digest: str, text: str) -> int | None:
-        for i, entry in enumerate(self._entries):
-            if entry.key == digest:
-                return i
+        index = self._by_digest.get(digest)
+        if index is not None:
+            return index
         best: tuple[int, int] | None = None
-        for i, entry in enumerate(self._entries):
-            if self._consumed[i] or entry.claim_key is None:
-                continue
-            position = text.find(entry.claim_key)
-            if position >= 0 and (best is None or position < best[0]):
-                best = (position, i)
+        for claim_key, queue in self._by_claim.items():
+            position = text.find(claim_key)
+            if position >= 0 and (best is None or (position, queue[0]) < best):
+                best = (position, queue[0])
         if best is not None:
             return best[1]
-        for i, entry in enumerate(self._entries):
-            if self._consumed[i] or entry.key is not None or entry.claim_key is not None:
-                continue
-            return i
-        return None
+        return self._ordinal[0] if self._ordinal else None
+
+
+# An embedder's trigram memo starts afresh at this many entries (about 120
+# bytes each, so under 8 MB).
+_MEMO_CAP = 1 << 16
+
+
+class _TrigramCodes(dict):
+    """trigram -> bucket * 2 + sign bit, computed on a miss. Threads may share
+    it: racing misses compute and store the same code, which is harmless."""
+
+    def __init__(self, dim: int, key: bytes):
+        super().__init__()
+        self.dim = dim
+        self.key = key
+        self._lock = threading.Lock()
+
+    def __missing__(self, gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), key=self.key, digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        code = value % self.dim * 2 + (value >> 63)
+        with self._lock:  # so racing misses cannot overshoot the cap
+            if len(self) >= _MEMO_CAP:
+                self.clear()
+            self[gram] = code
+        return code
 
 
 class HashingEmbedder:
@@ -205,30 +245,31 @@ class HashingEmbedder:
     and a sign. Vectors are L2-normalized, so shared trigrams pull texts
     together under Euclidean distance. Fully deterministic for a given
     (dim, seed), across processes and platforms.
+
+    Each instance memoizes the bucket and sign of every trigram it has seen,
+    up to 2**16 of them before it starts afresh, so one embedder should be
+    reused. The counts are integers, so the vector has the same bits as
+    summing the signs one by one, for any text under 2**26 trigrams (the sum
+    of squares stays below 2**53).
     """
 
     def __init__(self, dim: int, seed: int = 0):
         if dim <= 0:
             raise SchemaError("embedder dim must be positive")
         self.dim = dim
-        self._key = seed.to_bytes(8, "little", signed=True)
+        self._codes = _TrigramCodes(dim, seed.to_bytes(8, "little", signed=True))
 
     def embed(self, text: str) -> Embedding:
         if not text:
             raise SchemaError("cannot embed empty text")
-        counts = [0.0] * self.dim
         grams = [text[i : i + 3] for i in range(len(text) - 2)] or [text]
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), key=self._key, digest_size=8).digest()
-            value = int.from_bytes(digest, "big")
-            bucket = value % self.dim
-            sign = 1.0 if value & (1 << 63) else -1.0
-            counts[bucket] += sign
-        norm = math.sqrt(sum(c * c for c in counts))
+        codes = np.fromiter(map(self._codes.__getitem__, grams), dtype=np.int64, count=len(grams))
+        counts = np.bincount(codes >> 1, weights=(codes & 1) * 2.0 - 1.0, minlength=self.dim)
+        norm = math.sqrt(counts @ counts)
         if norm == 0.0:
             counts[0] = 1.0
             norm = 1.0
-        return Embedding.of(c / norm for c in counts)
+        return Embedding(vector=counts / norm, dim=self.dim)
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}

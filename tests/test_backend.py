@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import sys
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import leap.backend
 
 from leap.backend import (
     ChatMessage,
@@ -159,6 +168,142 @@ class TestScriptedProvider:
         assert load_script(path) == [ScriptEntry(reply=reply), ScriptEntry(reply="ok")]
 
 
+class ReferenceProvider:
+    """The scripted provider before its entry index, kept verbatim as the
+    reference: every call scans every entry."""
+
+    def __init__(self, entries):
+        self._entries = list(entries)
+        self._consumed = [False] * len(self._entries)
+        self._lock = threading.Lock()
+        self.calls: list[dict[str, str]] = []
+
+    def complete(self, request: ChatRequest) -> str:
+        digest = request_digest(request)
+        text = request.text()
+        with self._lock:
+            index = self._find(digest, text)
+            if index is None:
+                raise UnmatchedFixtureError(f"no script entry matches request digest {digest}")
+            entry = self._entries[index]
+            if entry.key is None:
+                self._consumed[index] = True
+            mode = "key" if entry.key else ("claim_key" if entry.claim_key else "ordinal")
+            self.calls.append({"digest": digest, "mode": mode, "reply": entry.reply})
+            return entry.reply
+
+    def _find(self, digest: str, text: str) -> int | None:
+        for i, entry in enumerate(self._entries):
+            if entry.key == digest:
+                return i
+        best: tuple[int, int] | None = None
+        for i, entry in enumerate(self._entries):
+            if self._consumed[i] or entry.claim_key is None:
+                continue
+            position = text.find(entry.claim_key)
+            if position >= 0 and (best is None or position < best[0]):
+                best = (position, i)
+        if best is not None:
+            return best[1]
+        for i, entry in enumerate(self._entries):
+            if self._consumed[i] or entry.key is not None or entry.claim_key is not None:
+                continue
+            return i
+        return None
+
+
+# Claim keys that overlap, are prefixes of one another, or are empty; request
+# texts over the same letters, so keys often occur at the same position.
+_CLAIM_KEY = st.sampled_from(["", "a", "ab", "abc", "b", "ba", "bc", "c", "ca"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.text(alphabet="abc", max_size=6), min_size=1, max_size=12),
+    specs=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.just(""), st.integers(0, 11)),  # key: none, empty, or a request's digest
+            st.one_of(st.none(), _CLAIM_KEY),
+        ),
+        max_size=14,
+    ),
+)
+def test_scripted_provider_answers_as_the_reference(texts, specs):
+    chat_requests = [req(text) for text in texts]
+    entries = [
+        ScriptEntry(
+            reply=f"reply {i}",
+            key=request_digest(chat_requests[key % len(chat_requests)]) if isinstance(key, int) else key,
+            claim_key=claim_key,
+        )
+        for i, (key, claim_key) in enumerate(specs)
+    ]
+    provider, reference = ScriptedProvider(entries), ReferenceProvider(entries)
+    for request in chat_requests + chat_requests:  # the second pass meets consumed entries
+        try:
+            want = reference.complete(request)
+        except UnmatchedFixtureError as exc:
+            with pytest.raises(UnmatchedFixtureError, match=f"^{exc}$"):
+                provider.complete(request)
+        else:
+            assert provider.complete(request) == want
+    assert provider.calls == reference.calls
+
+
+class ReferenceEmbedder:
+    """The hashing embedder before its trigram memo, kept verbatim as the
+    reference: one keyed blake2b per trigram, summed in Python floats."""
+
+    def __init__(self, dim: int, seed: int = 0):
+        if dim <= 0:
+            raise SchemaError("embedder dim must be positive")
+        self.dim = dim
+        self._key = seed.to_bytes(8, "little", signed=True)
+
+    def embed(self, text: str) -> Embedding:
+        if not text:
+            raise SchemaError("cannot embed empty text")
+        counts = [0.0] * self.dim
+        grams = [text[i : i + 3] for i in range(len(text) - 2)] or [text]
+        for gram in grams:
+            digest = hashlib.blake2b(gram.encode("utf-8"), key=self._key, digest_size=8).digest()
+            value = int.from_bytes(digest, "big")
+            bucket = value % self.dim
+            sign = 1.0 if value & (1 << 63) else -1.0
+            counts[bucket] += sign
+        norm = math.sqrt(sum(c * c for c in counts))
+        if norm == 0.0:
+            counts[0] = 1.0
+            norm = 1.0
+        return Embedding.of(c / norm for c in counts)
+
+
+def assert_same_bits(got: Embedding, want: Embedding) -> None:
+    assert got.dim == want.dim
+    assert got.vector.view(np.uint64).tolist() == want.vector.view(np.uint64).tolist()
+
+
+GOLDEN_EMBEDDINGS = Path(__file__).resolve().parent / "golden" / "embeddings.npy"
+GOLDEN_CASES = [(dim, seed) for dim in (1, 64, 1536) for seed in (0, 7)]
+GOLDEN_TEXTS = [
+    "x",  # one character: the whole text is the one gram
+    "ok",  # two characters, likewise
+    "\U0001d50f\U0001d508\U0001d504\U0001d513 \U0001f998 hops \U0010fffd",  # outside the BMP
+    "acea",  # its two trigrams cancel at dim 1 (both seeds) and dim 64 (seed 0)
+    "".join(f"Claim {i}: the kangaroo is endemic to Australia. " for i in range(50))[:2048],
+]
+
+
+def golden_vectors() -> np.ndarray:
+    """Every (dim, seed) case's vector of every golden text, end to end, in that order.
+
+    ``tests/golden/embeddings.npy`` holds this array as written by the
+    embedder before its trigram memo (``ReferenceEmbedder``)."""
+    return np.concatenate(
+        [HashingEmbedder(dim, seed).embed(text).vector for dim, seed in GOLDEN_CASES for text in GOLDEN_TEXTS]
+    )
+
+
 class TestHashingEmbedder:
     def test_deterministic(self):
         embedder = HashingEmbedder(dim=32, seed=3)
@@ -171,7 +316,7 @@ class TestHashingEmbedder:
         assert sum(v * v for v in vector) == pytest.approx(1.0)
 
     def test_empty_text_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^cannot embed empty text$"):
             HashingEmbedder(dim=8).embed("")
 
     def test_shared_trigrams_pull_texts_together(self):
@@ -185,6 +330,95 @@ class TestHashingEmbedder:
         a = HashingEmbedder(dim=32, seed=0).embed("abc")
         b = HashingEmbedder(dim=32, seed=1).embed("abc")
         assert a != b
+
+    def test_vectors_equal_the_golden_file_bit_for_bit(self):
+        golden = np.load(GOLDEN_EMBEDDINGS)
+        assert golden.dtype == np.dtype("<f8")
+        assert golden_vectors().tobytes() == golden.tobytes()
+
+    def test_golden_texts_reach_the_zero_norm_rule(self):
+        for dim, seed in [(1, 0), (1, 7), (64, 0)]:
+            vector = HashingEmbedder(dim, seed).embed("acea").vector
+            assert vector.tolist() == [1.0] + [0.0] * (dim - 1)
+
+    def test_lone_surrogate_fails_as_before_and_leaves_the_memo_clean(self):
+        embedder, reference = HashingEmbedder(64, seed=0), ReferenceEmbedder(64, seed=0)
+        with pytest.raises(UnicodeEncodeError) as got:
+            embedder.embed("ab\ud800cd")
+        with pytest.raises(UnicodeEncodeError) as want:
+            reference.embed("ab\ud800cd")
+        assert (got.value.args, str(got.value)) == (want.value.args, str(want.value))
+        for text in ("abcd", "abab cdcd", "ab\u00e9cd"):
+            assert_same_bits(embedder.embed(text), reference.embed(text))
+
+    @pytest.mark.parametrize("cap", [None, 8])
+    def test_threads_sharing_one_embedder_get_single_threaded_bits(self, monkeypatch, cap):
+        # Overlapping texts, each thread in its own order, so misses race.
+        # Two threads missing the same trigram both compute its code and
+        # store the same value, which is harmless.
+        if cap is not None:
+            monkeypatch.setattr(leap.backend, "_MEMO_CAP", cap)
+        texts = [f"claim {i % 13} about kangaroo {i % 7} and {i}" for i in range(120)]
+        shared, results, sizes = HashingEmbedder(64, seed=5), {}, []
+        barrier = threading.Barrier(4)
+
+        def work(t):
+            barrier.wait()
+            order = texts[t * 30 :] + texts[: t * 30]
+            results[t] = {}
+            for text in order:
+                results[t][text] = shared.embed(text)
+                sizes.append(len(shared._codes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = HashingEmbedder(64, seed=5)
+        expected = {text: fresh.embed(text) for text in texts}
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            for text in texts:
+                assert_same_bits(got[text], expected[text])
+        assert cap is None or max(sizes) <= cap
+
+    def test_memo_clears_at_its_cap_and_keeps_the_bits(self, monkeypatch):
+        monkeypatch.setattr(leap.backend, "_MEMO_CAP", 8)
+        embedder, reference = HashingEmbedder(64, seed=0), ReferenceEmbedder(64, seed=0)
+        sizes = []
+        # Growing prefixes, twice, then a text whose own trigrams overflow the cap.
+        for text in [GOLDEN_TEXTS[4][:n] for n in range(1, 30)] * 2 + ["abcdefghijklmnop"]:
+            assert_same_bits(embedder.embed(text), reference.embed(text))
+            sizes.append(len(embedder._codes))
+        assert max(sizes) == 8 and min(sizes[2:]) < 8  # filled, then cleared and refilled
+
+
+# Texts of one or two characters (one gram, the whole text), texts over a
+# small alphabet with characters outside the BMP (repeated trigrams), and
+# any text.
+_TEXT = st.one_of(
+    st.text(min_size=1, max_size=2),
+    st.text(alphabet="ab \u00e9\U0001f998\U0010fffd", min_size=1, max_size=40),
+    st.text(min_size=1, max_size=300),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 64, 1536]),
+    seed=st.integers(-(2**63), 2**63 - 1),
+    texts=st.lists(_TEXT, min_size=1, max_size=6),
+)
+def test_embed_equals_the_reference_bit_for_bit(dim, seed, texts):
+    embedder, reference = HashingEmbedder(dim, seed), ReferenceEmbedder(dim, seed)
+    for text in texts + texts[::-1]:  # the second pass hits the memo
+        assert_same_bits(embedder.embed(text), reference.embed(text))
 
 
 class TestDistances:
