@@ -177,8 +177,8 @@ def cmd_learn(args) -> int:
             claims, memories, args.out, strict=args.strict, config_hash=config_hash(config)
         )
     except KeyboardInterrupt:
-        # The stores hold the finished episodes only: an episode inserts
-        # after its last model call.
+        # The stores hold exactly the episodes trajectories.jsonl lists: a
+        # wave commits only its finished episodes.
         memories.persist(config.paths.memory_dir)
         raise
     memories.persist(config.paths.memory_dir)

@@ -77,7 +77,9 @@ class DecodingConfig(Record):
 
 @dataclass(frozen=True)
 class LearningConfig(Record):
-    """Knobs of the learning loop; the seed fixes all stochastic choices."""
+    """Knobs of the learning loop; the seed fixes all stochastic choices.
+    ``concurrency`` claims run at once, in waves (see ``loops``), so output never
+    depends on thread scheduling."""
 
     gamma: float = 1.0
     lam: float = 0.1

@@ -2,12 +2,13 @@
 trajectory curation, and SFT export.
 
 A learning episode runs retrieve-plan-execute-evaluate, reflects when the
-advantage is strictly negative, and only after that last model call applies
-the memory updates: the precedent and the per-state value samples always
-land, the reflection when there is one.
+advantage is strictly negative, and updates the memories: the precedent and
+the per-state value samples always, the reflection when there is one.
 Detection pre-scores the planned strategy and allows exactly one
-reflection-driven revision before execution. Claims are independent units of
-work; the memory stores are the only shared mutable state.
+reflection-driven revision before execution. A batch runs its claims in
+waves: every claim of a wave reads the stores as the earlier waves left them,
+and the inserts of the wave's finished claims land in dataset order when it
+ends, so output never depends on thread scheduling.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -203,49 +205,66 @@ class Runtime:
                 return steps, answer_verdict(action)
 
     def _fan_out(
-        self, claims: Sequence[Claim], run: Callable[[Claim], Any], what: str, strict: bool = False
+        self, claims: Sequence[Claim], memories: Memories, run: Callable[[Claim, Memories], Any],
+        what: str, wave: int, strict: bool = False,
     ) -> tuple[list[Any], list[tuple[str, str]], bool]:
-        """Run every claim: in dataset order at concurrency 1, else on a thread pool.
-
-        Returns the finished results in dataset order, the (claim id, message)
-        failures in dataset order, and whether a KeyboardInterrupt stopped the
-        batch early. Any Exception fails only its own claim unless strict; an
-        exception that ends the batch keeps queued claims from starting.
-        """
+        """Run the claims in waves of ``wave``: the calling thread and up to
+        ``concurrency - 1`` helper threads take a wave's claims in dataset order.
+        Returns the finished results and the (claim id, message) failures, in
+        dataset order, and whether a KeyboardInterrupt stopped the batch. Any
+        Exception fails only its own claim unless strict; an exception that
+        ends the batch keeps queued claims from starting."""
         results: list[Any] = [None] * len(claims)
-        failures: list[tuple[int, str, str]] = []
-        stop = threading.Event()
+        errors: list[str | None] = [None] * len(claims)
+        inserts: dict[int, list] = {}  # the staged inserts of each finished claim
+        fatal: list[BaseException] = []
 
-        def work(index: int) -> None:
-            if stop.is_set():
-                return
-            claim = claims[index]
+        def work(queue: deque[int], done: threading.Event) -> None:
             try:
-                results[index] = run(claim)
-            except BaseException as exc:
-                if isinstance(exc, Exception) and not strict:
-                    logger.warning("%s failed for claim %s: %s", what, claim.id, exc)
-                    failures.append((index, claim.id, str(exc)))
-                    return
-                stop.set()
-                raise
+                while True:
+                    i = queue.popleft()  # IndexError once the wave is taken
+                    view, pending = memories.staged()
+                    try:
+                        results[i] = run(claims[i], view)
+                        inserts[i] = pending
+                    except BaseException as exc:
+                        if strict or not isinstance(exc, Exception):
+                            queue.clear()
+                            fatal.append(exc)
+                        else:
+                            logger.warning("%s failed for claim %s: %s", what, claims[i].id, exc)
+                            errors[i] = str(exc)
+            except IndexError:
+                pass
+            finally:
+                done.set()
 
         interrupted = False
         try:
-            if self.config.concurrency == 1:
-                for i in range(len(claims)):
-                    work(i)
-            else:
-                with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                    try:
-                        for future in [pool.submit(work, i) for i in range(len(claims))]:
-                            future.result()
-                    finally:
-                        stop.set()
+            for start in range(0, len(claims), wave):
+                queue = deque(range(start, min(start + wave, len(claims))))
+                done = [threading.Event() for _ in range(min(self.config.concurrency, len(queue)))]
+                helpers = [threading.Thread(target=work, args=(queue, d)) for d in done[1:]]
+                for thread in helpers:
+                    thread.start()
+                # The barrier waits on events; Ctrl-C in Thread.join can mark live threads stopped.
+                try:
+                    work(queue, done[0])
+                    for event in done:
+                        event.wait()
+                finally:  # after a Ctrl-C, the helpers finish their claims
+                    queue.clear()
+                    for thread in helpers:
+                        thread.join()
+                    for i in range(start, start + wave):
+                        for store, record in inserts.pop(i, ()):
+                            store.insert(record)
+                if fatal:
+                    raise fatal[0]
         except KeyboardInterrupt:
             interrupted = True
         completed = [r for r in results if r is not None]
-        return completed, [(cid, msg) for _, cid, msg in sorted(failures)], interrupted
+        return completed, [(c.id, e) for c, e in zip(claims, errors) if e is not None], interrupted
 
     # --- learning ----------------------------------------------------------
 
@@ -288,8 +307,6 @@ class Runtime:
         )
         # The id does not cover the advantage report, so attaching it keeps the id.
         trajectory = replace(trajectory, advantage=report)
-        # The stores change only after the episode's last model call, so an
-        # episode interrupted or failed at any call leaves no record behind.
         reflection = None
         if report.advantage < 0:
             reflection = self.reflector.reflect_failure(claim, claim_emb, trajectory, decoding)
@@ -334,7 +351,7 @@ class Runtime:
         out_dir = Path(out_dir)
         started = time.perf_counter()
         completed, failures, interrupted = self._fan_out(
-            claims, lambda claim: self.run_learning_episode(claim, memories), "episode", strict
+            claims, memories, self.run_learning_episode, "episode", self.config.concurrency, strict
         )
         # An interrupted batch still writes what finished, with a partial manifest.
         write_record_lines(out_dir / "trajectories.jsonl", (serialize(t) for t in completed))
@@ -415,8 +432,10 @@ class Runtime:
         """Detect over a batch; failures are recorded and the batch continues."""
         if not claims:
             raise SchemaError("empty dataset")
+        # Read-only detection is one wave: no claim waits for a straggler.
+        wave = self.config.concurrency if online_memory else len(claims)
         completed, failures, interrupted = self._fan_out(
-            claims, lambda claim: self.detect(claim, memories, online_memory=online_memory), "detection"
+            claims, memories, partial(self.detect, online_memory=online_memory), "detection", wave
         )
         # An interrupted batch still writes the verdicts that finished.
         if out_path is not None:

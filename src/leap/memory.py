@@ -389,6 +389,20 @@ def _load_matrix(store_path: Path, count: int, dim: int, sha256: str) -> np.ndar
     return matrix
 
 
+class _StagedStore:
+    """One claim's view of a store: reads go through, inserts queue for the commit."""
+
+    def __init__(self, store: MemoryStore, pending: list[tuple[MemoryStore, Any]]):
+        self.store, self._pending = store, pending
+
+    def retrieve_top_k(self, *args: Any, **kwargs: Any) -> list[Any]:
+        return self.store.retrieve_top_k(*args, **kwargs)
+
+    def insert(self, record: Any) -> str:
+        self._pending.append((self.store, record))
+        return record.id
+
+
 @dataclass
 class Memories:
     """The three stores the agents read and the learning loop writes."""
@@ -396,6 +410,11 @@ class Memories:
     reflections: MemoryStore
     precedents: MemoryStore
     values: MemoryStore
+
+    def staged(self) -> tuple["Memories", list[tuple[MemoryStore, Any]]]:
+        """A view that reads these stores and queues its inserts in the list."""
+        pending: list[tuple[MemoryStore, Any]] = []
+        return Memories(*(_StagedStore(s, pending) for s in vars(self).values())), pending
 
     @classmethod
     def fresh(cls, dim: int, cap: int | None = DEFAULT_CAP) -> "Memories":

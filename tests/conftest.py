@@ -139,6 +139,23 @@ def detection_entries(
     return [{"claim_key": claim.query, "reply": r} for r in replies]
 
 
+def wave_entries(claims):
+    """Scripted episodes that take 0-2 tool steps; every third claim, from the
+    second on, gives a wrong verdict and so reflects."""
+    entries = []
+    for i, claim in enumerate(claims):
+        actions = ('calculator("2+2")', 'word_count(3, "a b c")')[: i % 3]
+        wrong = i % 3 == 1
+        entries += episode_entries(
+            claim,
+            step_actions=actions,
+            verdict="Not Hallucination" if wrong else "Hallucination",
+            values=tuple(0.1 * (k + 1) for k in range(len(actions) + 2)),
+            reflection=wrong,
+        )
+    return entries
+
+
 def write_script(path: Path, entries) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
@@ -280,7 +297,9 @@ def stub_http_server(script):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever to notice it, up to one poll interval
+    # (0.5 s by default).
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", record

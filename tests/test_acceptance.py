@@ -319,6 +319,16 @@ def test_criterion_8_calculator_oracle():
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
+    check_criterion_9(tmp_path, monkeypatch, concurrency=1)
+
+
+def test_criterion_9_end_to_end_determinism_at_concurrency_4(tmp_path, monkeypatch):
+    # Claims run in waves of four whose inserts land in dataset order, so the
+    # bytes may not depend on thread scheduling.
+    check_criterion_9(tmp_path, monkeypatch, concurrency=4)
+
+
+def check_criterion_9(tmp_path, monkeypatch, concurrency):
     with budget("9 determinism", 30.0):
         claims = [make_claim(i, gold=Label.HALLUCINATION if i % 2 else Label.NOT_HALLUCINATION)
                   for i in range(10)]
@@ -352,7 +362,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
             root.mkdir()
             config = {
                 "backend": {"embed_dim": 16},
-                "learning": {"concurrency": 1, "seed": 12},
+                "learning": {"concurrency": concurrency, "seed": 12},
                 "tools": {"search_provider": {"kind": "fixture", "path": str(search_path)}},
                 "paths": {"memory_dir": str(root / "memory"), "out_dir": str(root / "out")},
             }

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import logging
+import random
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leap.backend import HashingEmbedder, ScriptedProvider, ScriptEntry
 from leap.core import (
@@ -34,7 +41,33 @@ from conftest import (
     make_strategy,
     reflection_reply,
     strategy_reply,
+    wave_entries,
 )
+
+
+class SleepyChat:
+    """Chat provider that sleeps 0-2 ms before each reply, the delay seeded by
+    the run's seed and the request, so thread scheduling varies run to run."""
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.seed = seed
+
+    def complete(self, request):
+        time.sleep(random.Random(f"{self.seed}:{request.text()}").uniform(0.0, 0.002))
+        return self.inner.complete(request)
+
+
+class RecordingChat:
+    """Chat provider that records the text of every request it forwards."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = []
+
+    def complete(self, request):
+        self.texts.append(request.text())
+        return self.inner.complete(request)
 
 
 def fresh_memories(cap=None):
@@ -227,17 +260,78 @@ class TestRunLearning:
             )
         assert outputs[0] == outputs[1]
 
-    def test_concurrency_preserves_the_trajectory_multiset(self, tmp_path):
-        claims = self.claims(6)
-        files = []
-        for workers, name in ((1, "serial"), (4, "parallel")):
-            provider = ScriptedProvider(self.script(claims))
-            runtime = make_runtime(provider, concurrency=workers)
-            out = tmp_path / name
-            report = runtime.run_learning(claims, fresh_memories(), out)
-            assert report.completed == 6
-            files.append(sorted((out / "trajectories.jsonl").read_text().splitlines()))
-        assert files[0] == files[1]
+    def learn_bytes(self, out, claims, concurrency, chat=lambda provider: provider):
+        """trajectories.jsonl and the six store files of one learning run, by name.
+
+        Replies are keyed by claim, so no byte depends on what a claim
+        retrieved; the store files show the order the records landed in.
+        """
+        provider = ScriptedProvider([ScriptEntry(**e) for e in wave_entries(claims)])
+        runtime = make_runtime(chat(provider), concurrency=concurrency)
+        memories = fresh_memories(cap=10)  # the values store evicts
+        report = runtime.run_learning(claims, memories, out)
+        assert report.completed == len(claims)
+        memories.persist(out / "memory")
+        files = [out / "trajectories.jsonl", *sorted((out / "memory").iterdir())]
+        return {path.name: path.read_bytes() for path in files}
+
+    def test_wave_output_is_byte_identical_at_every_concurrency(self, tmp_path):
+        claims = self.claims(7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            runs = [self.learn_bytes(tmp_path / str(c), claims, c) for c in (1, 2, 3, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs[0]) == 7
+        assert all(run == runs[0] for run in runs[1:])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        concurrency=st.integers(1, 5),
+        n_claims=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wave_output_never_depends_on_concurrency_or_timing(
+        self, concurrency, n_claims, seed
+    ):
+        claims = self.claims(n_claims)
+        with tempfile.TemporaryDirectory() as tmp:
+            serial = self.learn_bytes(Path(tmp) / "serial", claims, 1)
+            waves = self.learn_bytes(
+                Path(tmp) / "waves", claims, concurrency, lambda p: SleepyChat(p, seed)
+            )
+        assert waves == serial
+
+    def test_wave_claims_read_the_stores_as_earlier_waves_left_them(self, tmp_path):
+        claims = self.claims(2)
+        entries = episode_entries(claims[0], verdict="Not Hallucination", values=(0.1, 0.2))
+        entries.append(
+            {"claim_key": claims[0].query, "reply": reflection_reply(diagnosis="claim zero erred")}
+        )
+        entries += episode_entries(claims[1], values=(0.1, 0.2))
+        quoted = {}
+        for concurrency in (1, 2):
+            chat = RecordingChat(ScriptedProvider([ScriptEntry(**e) for e in entries]))
+            runtime = make_runtime(chat, concurrency=concurrency)
+            episode, first_done = runtime.run_learning_episode, threading.Event()
+
+            def ordered_episode(claim, memories):
+                # Claim 1 starts only once claim 0 has finished, in either run.
+                if claim is claims[1]:
+                    assert first_done.wait(5)
+                trajectory = episode(claim, memories)
+                first_done.set()
+                return trajectory
+
+            runtime.run_learning_episode = ordered_episode
+            report = runtime.run_learning(claims, fresh_memories(), tmp_path / str(concurrency))
+            assert (report.completed, report.reflected) == (2, 1)
+            planner = next(text for text in chat.texts if claims[1].query in text)
+            quoted[concurrency] = "claim zero erred" in planner
+        # At concurrency 2 both claims are one wave, so claim 0's reflection
+        # lands only after claim 1 has planned.
+        assert quoted == {1: True, 2: False}
 
     def test_failed_episode_is_recorded_and_skipped(self, tmp_path):
         claims = self.claims(3)
