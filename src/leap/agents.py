@@ -94,7 +94,13 @@ class PreemptiveScore(Record):
 # --- ReAct surface grammar ----------------------------------------------------
 
 _ACTION_LINE_RE = re.compile(r"^Action:\s*([a-z_]+)\((.*)\)\s*$")
-_INT_RE = re.compile(r"-?\d+")
+# One argument, a JSON string literal or a bare integer (a point after it is an
+# error), then a comma or the end. Each part is optional, so that _parse_args
+# can name what is missing.
+_ARG_RE = re.compile(
+    r'\s*(?:(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")|(?P<int>-?\d+)(?P<point>\.)?)?\s*(?P<sep>,|\Z)?',
+    re.DOTALL,
+)
 
 
 def parse_react(text: str) -> tuple[str, Action]:
@@ -135,53 +141,33 @@ def parse_react(text: str) -> tuple[str, Action]:
 
 def _parse_args(text: str) -> tuple[str | int, ...]:
     args: list[str | int] = []
-    i, n = 0, len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    if i == n:
-        return ()
+    pos = 0
     while True:
-        if i < n and text[i] == '"':
-            end = _closing_quote(text, i)
-            if end is None:
+        match = _ARG_RE.match(text, pos)
+        string, integer = match["string"], match["int"]
+        if string is None and integer is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                if pos == 0:
+                    return ()
+                raise ReactParseError("trailing comma in arguments")
+            if rest[0] == '"':
                 raise ReactParseError("unterminated string argument")
-            token = text[i : end + 1]
+            raise ReactParseError(f"malformed argument near {rest[:20]!r}")
+        if string is not None:
             try:
-                args.append(json.loads(token))
+                args.append(json.loads(string))
             except json.JSONDecodeError as exc:
-                raise ReactParseError(f"malformed string argument {token!r}") from exc
-            i = end + 1
+                raise ReactParseError(f"malformed string argument {string!r}") from exc
+        elif match["point"]:
+            raise ReactParseError("arguments must be quoted strings or bare integers")
         else:
-            match = _INT_RE.match(text, i)
-            if match is None:
-                raise ReactParseError(f"malformed argument near {text[i:i + 20]!r}")
-            i = match.end()
-            if i < n and text[i] == ".":
-                raise ReactParseError("arguments must be quoted strings or bare integers")
-            args.append(int(match.group(0)))
-        while i < n and text[i].isspace():
-            i += 1
-        if i == n:
+            args.append(int(integer))
+        if match["sep"] is None:
+            raise ReactParseError(f"expected ',' between arguments, found {text[match.end()]!r}")
+        if not match["sep"]:
             return tuple(args)
-        if text[i] != ",":
-            raise ReactParseError(f"expected ',' between arguments, found {text[i]!r}")
-        i += 1
-        while i < n and text[i].isspace():
-            i += 1
-        if i == n:
-            raise ReactParseError("trailing comma in arguments")
-
-
-def _closing_quote(text: str, start: int) -> int | None:
-    i = start + 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            return i
-        i += 1
-    return None
+        pos = match.end()
 
 
 def parse_react_sequence(text: str) -> list[tuple[str, Action]]:

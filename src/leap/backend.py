@@ -303,9 +303,12 @@ class HttpBackend:
         body = self.chat_body(request)
         payload = self._post("/chat/completions", body)
         try:
-            return payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed chat response: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise ProviderError(f"malformed chat response: content is {content!r}, not a string")
+        return content
 
     def embed(self, text: str) -> Embedding:
         if not text:

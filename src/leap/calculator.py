@@ -10,18 +10,26 @@ Grammar (standard precedence, carets bind tightest and associate right):
 
 '%' is remainder with the sign of the dividend; '^' is real exponentiation.
 Unary minus binds after '^', so "-2^2" is -4 and "-(2^3)^2" is -64.
+
+A number is decimal digits, optionally a point and more digits: "2.", ".5"
+and "2²" are errors. Whitespace between tokens is ignored. A syntax error
+carries the 1-based column of the character at fault.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import CalculatorError
 
 __all__ = ["evaluate"]
 
-_OPERATOR_CHARS = "+-*/%^()"
+# The tokens, tried in this order at each non-space character: a number whose
+# point has no digits after it (an error), a number, an operator, and any
+# other character (an error). \d is a decimal digit, which float() reads.
+_TOKEN_RE = re.compile(r"(?P<point>\d+\.)(?!\d)|(?P<number>\d+(?:\.\d+)?)|(?P<op>[-+*/%^()])|\S")
 
 # How deeply parentheses, unary minus signs and exponents may nest. Each level
 # costs the parser a few stack frames, so an unbounded formula would exhaust
@@ -39,32 +47,15 @@ class _Token:
 
 def _tokenize(formula: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(formula)
-    while i < n:
-        ch = formula[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append(_Token("op", ch, i + 1))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and formula[i].isdigit():
-                i += 1
-            if i < n and formula[i] == ".":
-                i += 1
-                if i >= n or not formula[i].isdigit():
-                    raise CalculatorError("expected digits after decimal point", column=i + 1)
-                while i < n and formula[i].isdigit():
-                    i += 1
-            text = formula[start:i]
-            tokens.append(_Token("number", text, start + 1, value=float(text)))
-            continue
-        raise CalculatorError(f"unexpected character {ch!r}", column=i + 1)
-    tokens.append(_Token("end", "", n + 1))
+    for match in _TOKEN_RE.finditer(formula):
+        kind, text = match.lastgroup, match.group()
+        if kind == "point":
+            raise CalculatorError("expected digits after decimal point", column=match.end() + 1)
+        if kind is None:
+            raise CalculatorError(f"unexpected character {text!r}", column=match.start() + 1)
+        value = float(text) if kind == "number" else 0.0
+        tokens.append(_Token(kind, text, match.start() + 1, value))
+    tokens.append(_Token("end", "", len(formula) + 1))
     return tokens
 
 

@@ -39,16 +39,10 @@ from .tools import SIGNATURES, FixtureSearch, HttpSearch, Toolbox
 logger = logging.getLogger(__name__)
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
-
-
 class _Parser(argparse.ArgumentParser):
     # Flag/usage mistakes are validation errors (exit 1), not argparse's 2.
     def error(self, message: str):
-        raise _UsageError(message, self.format_usage())
+        self.exit(1, f"{self.format_usage()}error: {message}\n")
 
 
 def build_parser() -> _Parser:
@@ -196,9 +190,14 @@ def cmd_detect(args) -> int:
     claims = load_dataset(args.claims, args.claims_format)
     memories = _load_memories(config)
     runtime = _build_runtime(config)
-    results, failures = runtime.run_detection(
-        claims, memories, out_path=args.out, online_memory=args.online_memory
-    )
+    try:
+        results, failures = runtime.run_detection(
+            claims, memories, out_path=args.out, online_memory=args.online_memory
+        )
+    except KeyboardInterrupt:
+        if args.online_memory:  # holding the corrections of the claims written to --out
+            memories.persist(config.paths.memory_dir)
+        raise
     if args.online_memory:
         memories.persist(config.paths.memory_dir)
     logger.info("detection: %d verdicts, %d failures", len(results), len(failures))
@@ -269,17 +268,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(exc.usage)
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (ConfigError, DatasetFormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

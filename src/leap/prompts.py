@@ -3,7 +3,8 @@
 Templates are plain-text files with {placeholder} syntax, one per agent role
 plus one for the semantic-match judge. They are always loaded from files; the
 package ships defaults, and a config-supplied directory with the same five
-filenames overrides them.
+filenames overrides them. Each template must contain its role's placeholders
+(TEMPLATE_PLACEHOLDERS); a file that cannot be read or lacks one fails at load.
 """
 
 from __future__ import annotations
@@ -43,41 +44,33 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named template with the placeholders it insists on."""
+    """A named template, checked at construction to contain its placeholders."""
 
     name: str
     template: str
     required_placeholders: tuple[str, ...]
 
-    def render(self, **bindings: str) -> str:
-        missing = [p for p in self.required_placeholders if p not in bindings]
+    def __post_init__(self) -> None:
+        present = set(_PLACEHOLDER_RE.findall(self.template))
+        missing = [p for p in self.required_placeholders if p not in present]
         if missing:
             raise PromptError(f"template {self.name!r} missing placeholders: {missing}")
 
-        def substitute(match: re.Match) -> str:
-            name = match.group(1)
-            return bindings.get(name, match.group(0))
-
-        return _PLACEHOLDER_RE.sub(substitute, self.template)
+    def render(self, **bindings: str) -> str:
+        return _PLACEHOLDER_RE.sub(lambda m: bindings.get(m.group(1), m.group(0)), self.template)
 
 
 def load_templates(prompts_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
     """Load the five fixed template files from a directory or the packaged defaults."""
+    root = resources.files("leap") / "templates" if prompts_dir is None else Path(prompts_dir)
     templates: dict[str, PromptTemplate] = {}
     for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
-        filename = f"{name}.txt"
-        if prompts_dir is None:
-            source = resources.files("leap").joinpath("templates", filename)
-            try:
-                text = source.read_text(encoding="utf-8")
-            except FileNotFoundError as exc:
-                raise PromptError(f"packaged template missing: {filename}") from exc
-        else:
-            path = Path(prompts_dir) / filename
-            if not path.exists():
-                raise PromptError(f"template file missing: {path}")
-            text = path.read_text(encoding="utf-8")
-        templates[name] = PromptTemplate(name=name, template=text, required_placeholders=placeholders)
+        source = root / f"{name}.txt"
+        try:
+            text = source.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PromptError(f"cannot read template {name}.txt: {exc}") from exc
+        templates[name] = PromptTemplate(name, text, placeholders)
     return templates
 
 
@@ -109,37 +102,29 @@ def format_state(claim: Claim, steps: Sequence[Step]) -> str:
     return f"{format_claim_block(claim)}\n\nSteps so far:\n{format_history(steps)}"
 
 
+def _numbered_blocks(label: str, entries: Iterable[tuple[str, str]], empty: str) -> str:
+    """Blank-line-separated blocks headed "<label> <i><note>:", or ``empty``."""
+    blocks = [f"{label} {i}{note}:\n{body}" for i, (note, body) in enumerate(entries, start=1)]
+    return "\n\n".join(blocks) if blocks else empty
+
+
 def format_reflections(records: Iterable) -> str:
-    blocks = []
-    for i, record in enumerate(records, start=1):
-        principles = "; ".join(record.principles)
-        blocks.append(
-            f"Reflection {i}:\n"
-            f"Diagnosis: {record.diagnosis}\n"
-            f"Principles: {principles}\n"
-            f"Suggested strategy:\n{format_strategy(record.revised_strategy)}"
-        )
-    if not blocks:
-        return "No prior reflections."
-    return "\n\n".join(blocks)
+    entries = (
+        ("", f"Diagnosis: {r.diagnosis}\nPrinciples: {'; '.join(r.principles)}\n"
+             f"Suggested strategy:\n{format_strategy(r.revised_strategy)}")
+        for r in records
+    )
+    return _numbered_blocks("Reflection", entries, "No prior reflections.")
 
 
 def format_precedents(records: Iterable) -> str:
-    blocks = []
-    for i, record in enumerate(records, start=1):
-        blocks.append(
-            f"Precedent {i} (advantage {record.advantage:+.3f}):\n"
-            f"Claim: {record.claim_text}\n{format_strategy(record.strategy)}"
-        )
-    if not blocks:
-        return "None."
-    return "\n\n".join(blocks)
+    entries = (
+        (f" (advantage {r.advantage:+.3f})", f"Claim: {r.claim_text}\n{format_strategy(r.strategy)}")
+        for r in records
+    )
+    return _numbered_blocks("Precedent", entries, "None.")
 
 
 def format_value_examples(samples: Iterable) -> str:
-    blocks = []
-    for i, sample in enumerate(samples, start=1):
-        blocks.append(f"Example {i} (value {sample.value:+.3f}):\n{sample.state_summary}")
-    if not blocks:
-        return "No prior value samples."
-    return "\n\n".join(blocks)
+    entries = ((f" (value {s.value:+.3f})", s.state_summary) for s in samples)
+    return _numbered_blocks("Example", entries, "No prior value samples.")

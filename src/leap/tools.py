@@ -271,7 +271,8 @@ class Toolbox:
         """Run a snippet through the external executor; True iff it exits 0.
 
         The child gets only a default PATH as its environment and a fresh
-        temporary directory, removed afterwards, as its working directory.
+        temporary directory, removed afterwards, as its working directory. Its
+        output is discarded, so a chatty snippet cannot grow this process.
         Executions contend for a bounded number of sandbox slots (one by
         default), so concurrent claims cannot stack up subprocesses.
         """
@@ -281,7 +282,8 @@ class Toolbox:
             try:
                 completed = subprocess.run(
                     [*self.code_executor, code],
-                    capture_output=True,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
                     timeout=self.code_timeout_ms / 1000.0,
                     cwd=cwd,
                     env={"PATH": os.defpath},

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leap.agents import (
     Actor,
@@ -13,6 +15,7 @@ from leap.agents import (
     Planner,
     PreemptiveScore,
     Reflector,
+    _parse_args,
     advantage,
     parse_react,
     parse_react_sequence,
@@ -124,6 +127,118 @@ class TestParseReact:
     def test_sequence_rejects_action_before_any_thought(self):
         with pytest.raises(ReactParseError, match="missing Thought"):
             parse_react_sequence('Action: calculator("1")\nThought: t\nAction: calculator("2")')
+
+
+# The hand-written argument scanner that the token pattern replaced, verbatim:
+# the oracle for the differential property below.
+_INT_RE = re.compile(r"-?\d+")
+
+
+def _hand_parse_args(text: str) -> tuple[str | int, ...]:
+    args: list[str | int] = []
+    i, n = 0, len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    if i == n:
+        return ()
+    while True:
+        if i < n and text[i] == '"':
+            end = _closing_quote(text, i)
+            if end is None:
+                raise ReactParseError("unterminated string argument")
+            token = text[i : end + 1]
+            try:
+                args.append(json.loads(token))
+            except json.JSONDecodeError as exc:
+                raise ReactParseError(f"malformed string argument {token!r}") from exc
+            i = end + 1
+        else:
+            match = _INT_RE.match(text, i)
+            if match is None:
+                raise ReactParseError(f"malformed argument near {text[i:i + 20]!r}")
+            i = match.end()
+            if i < n and text[i] == ".":
+                raise ReactParseError("arguments must be quoted strings or bare integers")
+            args.append(int(match.group(0)))
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            return tuple(args)
+        if text[i] != ",":
+            raise ReactParseError(f"expected ',' between arguments, found {text[i]!r}")
+        i += 1
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            raise ReactParseError("trailing comma in arguments")
+
+
+def _closing_quote(text: str, start: int) -> int | None:
+    i = start + 1
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+            continue
+        if text[i] == '"':
+            return i
+        i += 1
+    return None
+
+
+def _outcome(parse, text):
+    """The typed values parsed, or the error message."""
+    try:
+        return [(type(v), v) for v in parse(text)]
+    except ReactParseError as exc:
+        return str(exc)
+
+
+# Argument text built mostly from the grammar's own characters, so that the
+# strings, escapes, integers, points and separators it draws meet often.
+_ARGS_TEXT = st.one_of(
+    st.text(st.sampled_from('"\\,.-0123456789٣ \t\u00a0\nabnu/'), max_size=24),
+    st.lists(
+        st.one_of(
+            st.text(max_size=6).map(json.dumps),
+            st.integers(-(10**6), 10**6).map(str),
+            st.sampled_from([",", " , ", ".", '"', "\\", "\\\n", "\\u12", "x", ""]),
+        ),
+        max_size=6,
+    ).map("".join),
+    st.text(max_size=24),
+)
+
+
+class TestArgumentScanner:
+    @settings(max_examples=500)
+    @given(_ARGS_TEXT)
+    def test_token_pattern_matches_the_hand_scanner(self, text):
+        assert _outcome(_parse_args, text) == _outcome(_hand_parse_args, text)
+
+    @pytest.mark.parametrize(
+        "text,outcome",
+        [
+            ("", ()),
+            (" \t", ()),
+            ('"a", 7 ,-3', ("a", 7, -3)),
+            ('"\\u00e9\\"q\\""', ('é"q"',)),
+            ("١٢", (12,)),  # decimal digits of any script, as int() reads them
+            ("1,", "trailing comma in arguments"),
+            ('"a\\"', "unterminated string argument"),
+            ('"a\\\nb"', "malformed string argument '\"a\\\\\\nb\"'"),  # an escaped newline
+            ('"a\\q"', "malformed string argument '\"a\\\\q\"'"),
+            ("--1", "malformed argument near '--1'"),
+            ("12.5", "arguments must be quoted strings or bare integers"),
+            ('"a" "b"', "expected ',' between arguments, found '\"'"),
+        ],
+    )
+    def test_values_and_messages(self, text, outcome):
+        if isinstance(outcome, tuple):
+            assert _parse_args(text) == outcome
+        else:
+            with pytest.raises(ReactParseError) as excinfo:
+                _parse_args(text)
+            assert str(excinfo.value) == outcome
 
 
 # One line of text, without edge whitespace: the field shape the grammar keeps.

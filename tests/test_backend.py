@@ -528,3 +528,10 @@ class TestHttpBackend:
             backend = HttpBackend(base_url=url, model="m")
             with pytest.raises(ProviderError, match="malformed"):
                 backend.complete(req("x"))
+
+    @pytest.mark.parametrize("content", [None, 7, ["hi"]])
+    def test_chat_content_that_is_not_a_string(self, content):
+        with stub_http_server([(200, self.chat_payload(content))]) as (url, _):
+            backend = HttpBackend(base_url=url, model="m")
+            with pytest.raises(ProviderError, match="not a string"):
+                backend.complete(req("x"))

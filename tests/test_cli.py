@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from leap.errors import ConfigError
 from leap.memory import Memories
 from leap.prompts import format_claim_block
 
-from conftest import detection_entries, episode_entries, make_claim, write_script
+from conftest import detection_entries, episode_entries, make_claim, stub_http_server, write_script
 
 
 class TestConfig:
@@ -248,6 +250,58 @@ class TestDetectCommand:
         assert all(r["verdict"]["label"] == "Hallucination" for r in records)
         assert all(r["corrected"] is False for r in records)
 
+    def _use_correcting_script(self, workspace):
+        """Every claim's strategy scores below theta_corr, so it is corrected."""
+        entries = [
+            e for c in workspace.claims for e in detection_entries(c, score=-0.5, corrected=True)
+        ]
+        workspace._activate("correct-script.jsonl", entries)
+        return entries
+
+    def _detect_online(self, workspace):
+        out = workspace.root / "verdicts.jsonl"
+        code = main(
+            ["detect", "--config", workspace.config, "--claims", str(workspace.claims_path),
+             "--out", str(out), "--online-memory"]
+        )
+        return code, out
+
+    def test_online_memory_persists_the_corrections(self, workspace):
+        self._use_correcting_script(workspace)
+        code, out = self._detect_online(workspace)
+        assert code == 0
+        assert all(json.loads(l)["corrected"] for l in out.read_text().splitlines())
+        memories = Memories.load(workspace.root / "memory")
+        assert [r.key_text for r in memories.reflections.records()] == [
+            format_claim_block(c) for c in workspace.claims
+        ]
+
+    def test_interrupted_online_memory_persists_the_finished_claims(
+        self, workspace, monkeypatch, capsys
+    ):
+        per_claim = len(self._use_correcting_script(workspace)) // workspace.n_claims
+        stopped, asked = workspace.claims[2], []
+        real = ScriptedProvider.complete
+
+        def complete(provider, request):
+            if stopped.query in request.text():
+                asked.append(request)
+                if len(asked) == per_claim:  # the stopped claim's last model call
+                    raise KeyboardInterrupt
+            return real(provider, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", complete)
+        code, out = self._detect_online(workspace)
+        assert code == 2 and capsys.readouterr().err.endswith("interrupted\n")
+        finished = workspace.claims[:2]
+        assert [json.loads(l)["claim_id"] for l in out.read_text().splitlines()] == [
+            c.id for c in finished
+        ]
+        memories = Memories.load(workspace.root / "memory")
+        assert [r.key_text for r in memories.reflections.records()] == [
+            format_claim_block(c) for c in finished
+        ]
+
 
 class TestExportCommand:
     def test_prints_count_matching_file(self, workspace, capsys):
@@ -444,6 +498,50 @@ class TestToolCommand:
         assert main(["tool", *args, "--config", workspace.config]) == 0
         assert json.loads(capsys.readouterr().out)["observation_text"] == observation
 
+    def test_calculator_prints_a_fraction(self, workspace, capsys):
+        workspace.use_detect_script()
+        assert main(["tool", "calculator", "7/2"]) == 0
+        assert json.loads(capsys.readouterr().out)["observation_text"] == "3.5"
+
+
+class TestHttpFromConfig:
+    """With LEAP_BACKEND unset, the config's endpoints are the ones called."""
+
+    def _config(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_chat_uses_the_key_named_by_api_key_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("LEAP_BACKEND", raising=False)
+        monkeypatch.setenv("LEAP_TEST_KEY", "s3cret")
+        reply = {"choices": [{"message": {"role": "assistant", "content": "yes"}}]}
+        with stub_http_server([(200, reply)]) as (url, record):
+            config = self._config(tmp_path, {
+                "backend": {"base_url": url, "api_key_env": "LEAP_TEST_KEY"},
+                "tools": {"match_mode": "llm"},
+            })
+            code = main(["tool", "match", "the sky is blue", "sky: blue", "--config", config])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["observation_text"] == "true"
+        [sent] = record["requests"]
+        assert (sent["path"], sent["auth"]) == ("/chat/completions", "Bearer s3cret")
+        assert "the sky is blue" in json.loads(sent["body"])["messages"][0]["content"]
+
+    def test_search_reads_the_configured_field_names(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("LEAP_BACKEND", raising=False)
+        hits = {"hits": [{"name": "Paris", "body": "capital of France"}, {"name": "Lyon"}]}
+        with stub_http_server([(200, hits)]) as (url, record):
+            config = self._config(tmp_path, {"tools": {"search_provider": {
+                "kind": "http", "url": f"{url}/find", "query_param": "text",
+                "results_field": "hits", "title_field": "name", "snippet_field": "body",
+            }}})
+            code = main(["tool", "web_search", "capital of France", "--config", config])
+        assert code == 0
+        observation = json.loads(capsys.readouterr().out)["observation_text"]
+        assert observation == "[1] Paris — capital of France\n[2] Lyon — "
+        assert [r["path"] for r in record["requests"]] == ["/find?text=capital+of+France"]
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
@@ -451,6 +549,18 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "usage" in err
+
+    def test_unreadable_template_is_runtime_error(self, workspace, capsys):
+        prompts = workspace.root / "prompts"
+        shutil.copytree(resources.files("leap") / "templates", prompts)
+        (prompts / "actor.txt").unlink()
+        (prompts / "actor.txt").mkdir()
+        config = json.loads(Path(workspace.config).read_text())
+        config["paths"]["prompts_dir"] = str(prompts)
+        Path(workspace.config).write_text(json.dumps(config))
+        workspace.use_detect_script()
+        assert main(["tool", "calculator", "1", "--config", workspace.config]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read template actor.txt: ")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leap
 from leap.backend import HashingEmbedder, cosine
 from leap.core import Action, Tool
 from leap.errors import RetryExhaustedError, SchemaError, ToolConfigError, ToolError
@@ -287,6 +290,28 @@ class TestCodeInterpreter:
         child_cwd = record.read_text().strip()
         assert child_cwd != os.getcwd()
         assert not os.path.exists(child_cwd)
+
+    def test_child_output_is_discarded(self):
+        # Measured in a fresh process, whose peak RSS the test runner's own
+        # history cannot mask: 32 MB on each stream must not reach this side.
+        script = (
+            "import resource\n"
+            "from leap.tools import Toolbox\n"
+            "toolbox = Toolbox(code_executor=['/bin/sh', '-c'], code_timeout_ms=60000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "ok = toolbox.code_interpreter("
+            "'head -c 33554432 /dev/zero; head -c 33554432 /dev/zero >&2')\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(ok[0], after - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(leap.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        ok, grown_kb = done.stdout.split()
+        assert ok == "True"
+        assert int(grown_kb) < 8 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_executor_path_is_resolved_once(self):
         assert Toolbox(code_executor=["sh", "-c"]).code_executor[0] == shutil.which("sh")
