@@ -95,7 +95,10 @@ class _Parser:
             else:
                 if right == 0.0:
                     raise CalculatorError("remainder by zero")
-                value = math.fmod(value, right)
+                try:  # an infinite dividend: a literal past float's range
+                    value = math.fmod(value, right)
+                except ValueError as exc:
+                    raise CalculatorError(f"remainder is not a finite real: {exc}") from exc
         return value
 
     def factor(self) -> float:

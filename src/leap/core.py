@@ -141,9 +141,9 @@ class Embedding:
 
     No code ever writes to the array, so an embedding's values never change.
     It is the embedding's own copy, or, for a record loaded from a store, a
-    row of the store file's read-only matrix (``rows_of``); either way, a
-    store reusing one of its own matrix rows never changes an embedding
-    handed out before.
+    row of the store file's read-only matrix (``rows_of``). Either way it is
+    the record's float64 truth: a store keeps only a float32 filter row of
+    it, which an insert may reuse without touching any embedding.
     """
 
     vector: np.ndarray

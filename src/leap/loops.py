@@ -188,10 +188,10 @@ class Runtime:
         self, claim: Claim, claim_emb: Embedding, strategy, memories: Memories, decoding: Decoding
     ) -> tuple[list[Step], Verdict]:
         pos = memories.precedents.retrieve_top_k(
-            claim_emb, self.config.k_precedents_pos, lambda r: r.advantage > 0
+            claim_emb, self.config.k_precedents_pos, positive=True
         )
         neg = memories.precedents.retrieve_top_k(
-            claim_emb, self.config.k_precedents_neg, lambda r: r.advantage <= 0
+            claim_emb, self.config.k_precedents_neg, positive=False
         )
         steps: list[Step] = []
         while True:

@@ -7,19 +7,24 @@ scales this runtime operates at (around 10^3 records, capped by default near
 the point where retrieval quality degrades) exact search is cheap and lets
 tests check results against an exhaustive oracle.
 
-Layout. Each store keeps its records in a list, their embeddings in one
-contiguous float64 matrix, row ``i`` for record ``i``, and each row's squared
-norm beside it. The matrix doubles as records arrive, never past the cap; once
-the store is full, each insert overwrites the oldest record's row, a ring
-buffer, so eviction moves nothing. Records keep read-only vectors apart from
-that matrix, so an evicted record handed out earlier stays intact.
+Layout. Each store keeps its records in a list and, row ``i`` for record
+``i``, columns beside it: a float32 filter matrix whose row is the record's
+float64 vector rounded to nearest, the float64 squared norm of that vector
+with its share of the filter's error bound, and whether the record is a
+precedent with an advantage above 0. The columns double as records arrive, never past the cap; once the store is full,
+each insert overwrites the oldest record's row, a ring buffer, so eviction
+moves nothing. The float64 vectors themselves are only the records' own,
+read-only, so an evicted record handed out earlier stays intact.
 
-Search. A query is filtered in one matrix-vector product: the squared
+Search. A query is filtered in one float32 matrix-vector product: the squared
 distance ``‖m‖² − 2 m·q + ‖q‖²`` of every row, from the cached norms, with a
 proven bound on its rounding error. Only the rows that bound cannot rule out
 of the top k are then re-ranked by the exact expression
-``sqrt(sum((m − q)²))``, so every result, distance ties included, is the one
-an exhaustive exact pass gives.
+``sqrt(sum((m − q)²))`` over the records' float64 vectors, so every result,
+distance ties included, is the one an exhaustive exact pass gives. Rows and
+queries too large for float32 skip the filter and are always re-ranked.
+Precedents are split by the sign of their advantage through the boolean
+column, with no call per record.
 
 Files (store format v2). A store persisted at ``values.jsonl`` is a pair:
 that file holds a header line, then one record per line, oldest first, whose
@@ -29,14 +34,15 @@ order, in NumPy's own format (NEP 1). Both files are written in full; then
 the matrix replaces its old copy, then the lines do. The header holds the
 matrix's sha256, so a torn or mismatched pair fails at load. Loading checks
 the matrix once (its shape, digest and finiteness), gives each record a
-read-only view of its row and fills the store's matrix with one copy. The
-record lines are read through ``core.read_lines``, a line at a time. Stores
-of format v1, with their embeddings inline, are not read.
+read-only view of its row and rounds the matrix once into the store's float32
+filter. The record lines are read through ``core.read_lines``, a line at a
+time. Stores of format v1, with their embeddings inline, are not read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -70,20 +76,45 @@ __all__ = [
 
 DEFAULT_CAP = 1400
 
-# Rows a store's matrix starts with; it doubles as records arrive.
+# Rows a store's columns start with; they double as records arrive.
 _FIRST_ROWS = 64
 
-# The filter's bound on a squared distance's rounding error is
-# ``4 (d + 3) (eps S + tiny)``, with ``S = 2 (‖m‖² + ‖q‖²) ≥ (‖m‖ + ‖q‖)²``
-# and ``tiny`` the least subnormal. The filtered value and the exact one
-# together err by at most about ``(d + 2) eps (‖m‖ + ‖q‖)²``, plus ``3 d``
-# half-subnormals where products underflow (Higham, Accuracy and Stability of
-# Numerical Algorithms, §2.1 and §3.1). The factor 4 leaves a gap of at least
-# ``(d + 3) (eps S + tiny)`` beyond both, so a row the filter drops has an
-# exact squared distance at least 4 eps above the k-th: its square root is
-# strictly greater, and it cannot even tie with a kept row.
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
+# The filter's error bound. Notation: u = 2^-24 is float32's unit roundoff,
+# λ = 2^-126 its least normal, d the dim, m a row, q the query, and
+# S = 2 (‖m‖² + ‖q‖²), so that S ≥ (‖m‖ + ‖q‖)² ≥ ‖m − q‖² and
+# Σ|m_i q_i| ≤ ‖m‖ ‖q‖ ≤ S/4. The filter computes a = s − 2 p + t: s and t are
+# the float64 squared norms of m and q, and p is the float32 dot product of
+# m̂ = fl32(m) and q̂ = fl32(q). The re-rank computes e = fl64(Σ (m_i − q_i)²).
+# In the safe range, ‖m‖² and ‖q‖² at most 2^100 and d at most 2^17, every
+# entry is at most 2^50 and every product and partial sum at most 2^101, so
+# nothing overflows float32 and d u ≤ 2^-7 (Higham, Accuracy and Stability of
+# Numerical Algorithms, §2.1 and §3.1):
+# 1. Rounding to float32: m̂_i = m_i (1 + δ) + η with |δ| ≤ u and |η| ≤ λ, the
+#    η also covering a kernel that flushes subnormals to zero. So
+#    |m̂_i q̂_i − m_i q_i| ≤ (2u + u²)|m_i q_i| + (1 + u) λ (|m_i| + |q_i|) + λ²,
+#    and, as λ|x| ≤ u x² + λ²/(4u) and λ/u = 2^-102,
+#    2 |m̂·q̂ − m·q| ≤ 3 u S + d λ.
+# 2. Float32 accumulation in any order, with or without fused multiply-adds:
+#    |p − m̂·q̂| ≤ γ_d Σ|m̂_i q̂_i| + 2 d λ (1 + γ_d), γ_d = d u / (1 − d u), one λ
+#    for each product or sum that underflows. So 2 |p − m̂·q̂| ≤ 0.51 d u S + 4.1 d λ.
+# 3. Float64: s and t each err by γ_d in 2^-53 relative to ‖m‖² and ‖q‖², e by
+#    γ_(d+2) relative to ‖m − q‖², a's two operations by 2^-52 relative to S,
+#    plus 3 d half-subnormals of float64 where products underflow: at most
+#    (2 d + 6) 2^-53 S + d λ ≤ u S + d λ.
+# Together |a − e| ≤ (0.51 d + 4) u S + 6.1 d λ ≤ B = (d + 7) (u S + 8 λ).
+# The filter keeps a row unless a − 4B exceeds T, the k-th least a + 4B. A
+# dropped row j then has, against each of k kept rows i,
+# e_j ≥ a_j − B_j > T + 3 B_j ≥ a_i + 4 B_i + 3 B_j ≥ e_i + 3 B_j ≥ e_i + 20 u e_j,
+# so e_i < (1 − 2^-20) e_j: the square roots differ by far more than their
+# roundings, and j is neither among the k nearest nor tied with them. The
+# rounding of S (from s and t), 4B and a ± 4B, at most d 2^-52 relative, is
+# lost in that slack.
+# Rows outside the safe range, and every row of a query outside it, skip the
+# filter: they are always re-ranked. Their filter rows hold zeros.
+_U = 2.0**-24
+_LAMBDA = float(np.finfo(np.float32).tiny)
+_SAFE_SQNORM = 2.0**100
+_SAFE_DIM = 2**17
 
 # The header line of a persisted store, field by field.
 _HEADER = {"dim": int, "cap": int | None, "count": int, "kind": str, "matrix_sha256": str}
@@ -121,6 +152,11 @@ class PrecedentRecord(Record):
     advantage: float
     embedding: Embedding
 
+    def __post_init__(self) -> None:
+        # A finite advantage is either above 0 or at most 0, as the store's column splits them.
+        if not math.isfinite(self.advantage):
+            raise SchemaError("advantage must be finite", field="advantage")
+
 
 @dataclass(frozen=True)
 class ValueSample(Record):
@@ -146,11 +182,17 @@ class MemoryStore:
 
     ``kind`` names the record type held ("reflection", "precedent", or
     "value"). With a cap configured, inserting past it evicts the oldest
-    record. Row ``i`` of the matrix holds the embedding of ``_records[i]``;
-    ``_sqnorms[i]`` is that row's squared norm. Once the store is full, the
-    oldest record sits at ``_head``. Inserts and snapshot reads (the
-    matrix-vector filter included) are serialized by a lock, so retrieval
-    never observes a half-inserted record or a row being reused.
+    record. Row ``i`` of the columns belongs to ``_records[i]``: ``_filter[i]``
+    is its vector rounded to float32, ``_sqnorms[i]`` the float64 squared
+    norm of its vector, ``_radii[i]`` that norm's share of the filter's error
+    bound, and ``_positive[i]`` whether it is a precedent with an advantage
+    above 0. A row outside the filter's safe range has a zero filter row and
+    norm and an infinite radius, so no query rules it out. Once the store is
+    full, the oldest record sits at ``_head``. The records' float64 vectors
+    are the truth that the re-rank and ``persist`` read; the store holds no
+    copy of them. Inserts and snapshot reads (the matrix-vector filter
+    included) are serialized by a lock, so retrieval never observes a
+    half-inserted record or a row being reused.
     """
 
     def __init__(self, kind: str, dim: int, cap: int | None = DEFAULT_CAP):
@@ -164,8 +206,11 @@ class MemoryStore:
         self.dim = dim
         self.cap = cap
         self._records: list[Any] = []
-        self._matrix = np.empty((0, dim))
+        self._filter = np.empty((0, dim), dtype=np.float32)
         self._sqnorms = np.empty(0)
+        self._radii = np.empty(0)
+        self._c = 4 * (dim + 7)  # the filter's bound is c (u S + 8 λ)
+        self._positive = np.empty(0, dtype=bool)
         self._head = 0
         self._lock = threading.Lock()
 
@@ -184,6 +229,9 @@ class MemoryStore:
                 f"record embedding dim {record.embedding.dim} does not match store dim {self.dim}",
                 field="embedding",
             )
+        vector = record.embedding.vector
+        sqnorm = vector.dot(vector)
+        inside = sqnorm <= _SAFE_SQNORM
         with self._lock:
             row = len(self._records)
             if row == self.cap:  # full: the oldest record's row is reused
@@ -191,23 +239,27 @@ class MemoryStore:
                 self._records[row] = record
                 self._head = (row + 1) % self.cap
             else:
-                if row == len(self._matrix):
+                if row == len(self._filter):
                     self._grow()
                 self._records.append(record)
-            vector = record.embedding.vector
-            self._matrix[row] = vector
-            self._sqnorms[row] = vector.dot(vector)
+            # Inside the safe range every entry is at most 2^50: the cast cannot overflow.
+            self._filter[row] = vector if inside else 0.0
+            self._sqnorms[row] = sqnorm if inside else 0.0
+            self._radii[row] = 2 * self._c * _U * sqnorm if inside else np.inf
+            self._positive[row] = self.kind == "precedent" and record.advantage > 0
         return record.id
 
     def _grow(self) -> None:
-        """Double the matrix's rows, never past the cap."""
-        rows = max(_FIRST_ROWS, 2 * len(self._matrix))
+        """Double the columns' rows, never past the cap."""
+        rows = max(_FIRST_ROWS, 2 * len(self._filter))
         if self.cap is not None:
             rows = min(rows, self.cap)
-        matrix, sqnorms = np.empty((rows, self.dim)), np.empty(rows)
-        matrix[: len(self._matrix)] = self._matrix
-        sqnorms[: len(self._sqnorms)] = self._sqnorms
-        self._matrix, self._sqnorms = matrix, sqnorms
+        columns = []
+        for old in (self._filter, self._sqnorms, self._radii, self._positive):
+            new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
+            new[: len(old)] = old
+            columns.append(new)
+        self._filter, self._sqnorms, self._radii, self._positive = columns
 
     def records(self) -> list[Any]:
         """Snapshot of the store contents in insertion order."""
@@ -223,43 +275,54 @@ class MemoryStore:
         query: Embedding,
         k: int,
         predicate: Callable[[Any], bool] | None = None,
+        *,
+        positive: bool | None = None,
     ) -> list[Any]:
         """The k records nearest to the query by Euclidean distance.
 
         Results are sorted ascending by distance; ties break toward older
-        records. Exact search: the predicate selects from a snapshot, a
-        matrix-vector filter with a proven error bound keeps every row that
-        could be among the k nearest, and those few are re-ranked by the
-        exact distance. If a filtered value or its bound is not finite
-        (embeddings near 1e154 overflow), every selected row is re-ranked.
+        records. ``positive`` selects precedents through the store's column:
+        True those with an advantage above 0, False the rest. Exact search:
+        the selection is made on a snapshot, a float32 matrix-vector filter
+        with a proven error bound keeps every row that could be among the k
+        nearest, and those few are re-ranked by the exact distance. Rows
+        outside the filter's safe range (and every row, for a query outside
+        it) are always re-ranked.
         """
         if k < 1:
             raise SchemaError("k must be at least 1")
         if query.dim != self.dim:
             raise SchemaError(f"query dim {query.dim} does not match store dim {self.dim}")
-        q, c = query.vector, 4 * (self.dim + 3)
-        # A value that overflows shows as a bound that is not finite.
-        with self._lock, np.errstate(over="ignore", invalid="ignore"):
+        if positive is not None and self.kind != "precedent":
+            raise SchemaError(f"a {self.kind} store has no advantages to select by")
+        q = query.vector
+        qq = q.dot(q)
+        filtered = qq <= _SAFE_SQNORM and self.dim <= _SAFE_DIM
+        with self._lock:
             head, records = self._head, self._in_order()
-            sqnorms, qq = self._sqnorms[: len(records)], q.dot(q)
-            approx = sqnorms - 2.0 * self._matrix[: len(records)].dot(q) + qq
-            bound = (2 * c * _EPS) * sqnorms + c * (2 * _EPS * qq + _TINY)
-            lower, upper = approx - bound, approx + bound
-        if predicate is None:
-            keep = np.arange(len(records))
+            n = len(records)
+            selected = None if positive is None else self._positive[:n] == positive
+            if filtered:
+                # The dot product is float32 (the cast cannot overflow in the
+                # safe range); a = s − 2p + t is formed in float64.
+                approx = self._sqnorms[:n] - 2.0 * self._filter[:n].dot(q.astype(np.float32)) + qq
+                bound = self._radii[:n] + self._c * (2 * _U * qq + 8 * _LAMBDA)
+                lower, upper = approx - bound, approx + bound
+        # Rows are in ring order; row (i + head) % n holds the i-th oldest record.
+        if selected is None:
+            keep = np.arange(n)
         else:
-            keep = np.array([i for i, r in enumerate(records) if predicate(r)], dtype=np.intp)
+            keep = np.flatnonzero(np.roll(selected, -head))
+        if predicate is not None:
+            keep = np.array([i for i in keep.tolist() if predicate(records[i])], dtype=np.intp)
         if not len(keep):
             return []
-        # Rows are in ring order; row (i + head) % n holds the i-th oldest record.
-        rows = (keep + head) % len(records)
-        lower, upper = lower[rows], upper[rows]
-        # An upper bound is finite only where its value and bound are.
-        if len(keep) > k and np.isfinite(upper).all():
+        if filtered and len(keep) > k:
+            rows = (keep + head) % n
+            lower, upper = lower[rows], upper[rows]
             keep = keep[lower <= np.partition(upper, k - 1)[k - 1]]
-        # A record's own vector equals its row, and stays put once the lock is
-        # released. Candidates are in insertion order, so a stable sort breaks
-        # ties toward older records.
+        # Candidates are in insertion order, so a stable sort breaks ties
+        # toward older records.
         candidates = np.array([records[i].embedding.vector for i in keep])
         distances = np.sqrt(((candidates - q) ** 2).sum(axis=1))
         return [records[i] for i in keep[np.argsort(distances, kind="stable")[:k]]]
@@ -274,9 +337,8 @@ class MemoryStore:
         header = {"dim": self.dim, "cap": self.cap, "count": len(records), "kind": self.kind}
         digest = hashlib.sha256()
         with atomic_file(path) as text, atomic_file(_matrix_path(path), binary=True) as data:
-            # A record's own vector equals its row in insertion order and never
-            # changes, so the rows are written from the records, with no copy
-            # of the matrix and no lock held.
+            # The records' own vectors are the truth and never change, so the
+            # rows are written from them, in insertion order, with no lock held.
             np.lib.format.write_array_header_1_0(
                 data, {"descr": "<f8", "fortran_order": False, "shape": (len(records), self.dim)}
             )
@@ -337,8 +399,17 @@ class MemoryStore:
             raise SchemaError(
                 f"header declares {count} records, file holds {len(store)}", line=at, field="count"
             )
-        store._matrix = np.array(matrix)
-        store._sqnorms = np.einsum("ij,ij->i", matrix, matrix)
+        # Only rows outside the safe range overflow, and they are zeroed, as in insert.
+        with np.errstate(over="ignore"):
+            sqnorms = np.einsum("ij,ij->i", matrix, matrix)
+            store._filter = matrix.astype(np.float32)
+        outside = ~(sqnorms <= _SAFE_SQNORM)
+        store._filter[outside], sqnorms[outside] = 0.0, 0.0
+        store._sqnorms = sqnorms
+        store._radii = np.where(outside, np.inf, 2 * store._c * _U * sqnorms)
+        store._positive = np.array(
+            [store.kind == "precedent" and r.advantage > 0 for r in store._records], dtype=bool
+        )
         return store
 
 

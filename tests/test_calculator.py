@@ -78,6 +78,11 @@ class TestErrors:
         with pytest.raises(CalculatorError):
             evaluate("10^10^10")
 
+    def test_remainder_of_a_literal_past_float_range_is_math_error(self):
+        # The literal reads as inf, and math.fmod(inf, 2) raises ValueError.
+        with pytest.raises(CalculatorError, match="^remainder is not a finite real"):
+            evaluate("9" * 400 + "%2")
+
     def test_negative_base_fractional_power(self):
         with pytest.raises(CalculatorError):
             evaluate("(0-8)^0.5")

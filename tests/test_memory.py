@@ -202,14 +202,25 @@ def exact_pass_top_k(store, query, k, predicate=None):
 
 
 # How each inserted row (and the query) is made: near a shared centre (a near
-# tie that the filter computes with cancellation), at random, or from an
-# earlier row.
+# tie that the filter computes with cancellation), at random, of mixed scale,
+# or from an earlier row.
 _ROW = st.one_of(
     st.tuples(st.just("near"), st.integers(0, 17)),  # the centre moved by 10**-e of its norm
     st.tuples(st.just("fresh"), st.integers(-165, 150)),  # a random row of norm 10**e
     st.tuples(st.just("dup"), st.integers(0, 99)),  # an earlier row again
     st.tuples(st.just("ulp"), st.integers(0, 99)),  # an earlier row, one entry one ulp up
+    st.tuples(st.just("mixed"), st.integers(-50, 45)),  # entries of scales from 10**-50 to 10**e
+    st.tuples(st.just("edge"), st.integers(0, 99)),  # an earlier row, a few entries at float32's edges
 )
+
+# Entries at the edges of float32 and of the filter's safe range (squared
+# norms up to 2**100): past float32's largest (3.4e38), its least normal
+# (1.2e-38), its subnormals, halfway to and below its least subnormal, and
+# either side of 2**50.
+_FLOAT32_EDGES = [
+    3.5e38, -1e39, 1e150, 1.1754942e-38, -1e-38, 1e-39, 1.4e-45, 7e-46, -1e-46, 1e-300,
+    2.0**50, 2.0**50.5, -1.1e15,
+]
 
 
 def _random_row(dim, norm, rng):
@@ -218,6 +229,9 @@ def _random_row(dim, norm, rng):
 
 def _make_row(how, centre, earlier, rng):
     op, arg = how
+    if op == "mixed":
+        scales = 10.0 ** rng.integers(-50, arg, len(centre), endpoint=True)
+        return rng.standard_normal(len(centre)) * scales
     if op == "near" or (op != "fresh" and not earlier):
         exponent = arg if op == "near" else 0
         return centre + _random_row(len(centre), np.linalg.norm(centre) * 10.0**-exponent, rng)
@@ -227,6 +241,9 @@ def _make_row(how, centre, earlier, rng):
     if op == "ulp":
         at = rng.integers(len(row))
         row[at] = np.nextafter(row[at], np.inf)
+    if op == "edge":
+        for at in rng.integers(len(row), size=rng.integers(1, 4)):
+            row[at] = _FLOAT32_EDGES[rng.integers(len(_FLOAT32_EDGES))]
     return row
 
 
@@ -234,7 +251,9 @@ def _make_row(how, centre, earlier, rng):
 @given(
     dim=st.sampled_from([1, 64, 1536]),
     cap=st.one_of(st.none(), st.integers(1, 30)),
-    centre=st.integers(-165, 150),  # the centre's norm is 10**centre
+    # The centre's norm is 10**centre; half the draws keep it where float32's
+    # rounding, not its range, limits the filter.
+    centre=st.one_of(st.integers(-165, 150), st.integers(-10, 10)),
     rows=st.lists(st.tuples(_ROW, st.sampled_from([-1.0, 0.0, 0.5])), max_size=45),
     query=_ROW,
     k=st.integers(1, 50),
@@ -243,7 +262,32 @@ def _make_row(how, centre, earlier, rng):
 def test_filtered_retrieval_equals_the_exact_pass(dim, cap, centre, rows, query, k, seed):
     """Duplicate rows, rows one ulp apart, near ties, norms from 1e-165 to
     1e150, k at or past the live rows, predicates keeping none, one, some or
-    all rows, and a ring wrapped by inserts past the cap."""
+    all rows, and a ring wrapped by inserts past the cap. Rows and queries
+    with entries past float32's range, below its normal range, and of mixed
+    scale, inside and outside the filter's safe range."""
+    check_filtered_retrieval(dim, cap, centre, rows, query, k, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.sampled_from([1, 64, 1536]),
+    centre=st.integers(-10, 10),
+    rows=st.lists(
+        st.tuples(st.one_of(st.tuples(st.just("near"), st.integers(0, 9)), _ROW), st.just(0.5)),
+        min_size=20,
+        max_size=60,
+    ),
+    query=st.one_of(st.tuples(st.just("near"), st.integers(0, 9)), _ROW),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_filter_keeps_every_near_tie(dim, centre, rows, query, k, seed):
+    """Many rows near one centre of moderate norm and a small k: the rows the
+    filter must tell apart differ by about float32's rounding or less."""
+    check_filtered_retrieval(dim, None, centre, rows, query, k, seed)
+
+
+def check_filtered_retrieval(dim, cap, centre, rows, query, k, seed):
     rng = np.random.default_rng(seed)
     centre = _random_row(dim, 10.0**centre, rng)
     store = MemoryStore("precedent", dim, cap=cap)
@@ -348,6 +392,69 @@ def test_overflowing_rows_fall_back_to_the_exact_pass(query_scale):
     q = Embedding.of(rng.standard_normal(64) * query_scale)
     for k in range(1, 7):
         assert store.retrieve_top_k(q, k) == exact_pass_top_k(store, q, k)
+
+
+# Advantages either side of 0.0 that a sign test could get wrong: both zeros,
+# the least subnormals, and values far from 0.
+_ADVANTAGES = [0.0, -0.0, 5e-324, -5e-324, -1.0, 0.5, -1e300, 1e300]
+
+
+def assert_column_selects_as_the_predicate(store, rng):
+    """``positive=True`` selects what ``advantage > 0`` does, ``False`` its complement."""
+    records = store.records()
+    queries = [Embedding.of(rng.standard_normal(store.dim))] + [r.embedding for r in records[:2]]
+    for positive, predicate in ((True, lambda r: r.advantage > 0), (False, lambda r: not r.advantage > 0)):
+        expected = [r.id for r in records if predicate(r)]
+        for q in queries:
+            everything = store.retrieve_top_k(q, len(records) + 1, positive=positive)
+            assert sorted(r.id for r in everything) == sorted(expected)
+            for k in (1, 3):
+                assert store.retrieve_top_k(q, k, positive=positive) == store.retrieve_top_k(q, k, predicate)
+                assert store.retrieve_top_k(q, k, positive=positive) == exact_pass_top_k(store, q, k, predicate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 8, 1536]),
+    cap=st.one_of(st.none(), st.integers(1, 6)),
+    advantages=st.lists(st.sampled_from(_ADVANTAGES), max_size=20),
+    recap=st.one_of(st.none(), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advantage_column_selects_as_the_predicate(dim, cap, advantages, recap, seed):
+    """Signed zeros and subnormal advantages, a ring wrapped by inserts past
+    the cap, then the same after persist and load, and after ``load_or_fresh``
+    re-caps the stores."""
+    rng = np.random.default_rng(seed)
+    memories = Memories.fresh(dim, cap)
+    for i, advantage in enumerate(advantages):
+        memories.precedents.insert(precedent(i, advantage, Embedding.of(rng.standard_normal(dim))))
+    assert_column_selects_as_the_predicate(memories.precedents, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        memories.persist(tmp)
+        loaded = Memories.load(tmp)
+        assert_column_selects_as_the_predicate(loaded.precedents, rng)
+        recapped = Memories.load_or_fresh(tmp, dim, recap)
+    assert recapped.precedents.records() == memories.precedents.records()[-recap if recap else 0 :]
+    assert_column_selects_as_the_predicate(recapped.precedents, rng)
+    # Inserts past the cap keep the column in step with the rows they reuse.
+    for store in (loaded.precedents, recapped.precedents):
+        for i, advantage in enumerate(reversed(_ADVANTAGES)):
+            store.insert(precedent(100 + i, advantage, Embedding.of(rng.standard_normal(dim))))
+        assert_column_selects_as_the_predicate(store, rng)
+
+
+def test_advantage_selection_needs_a_precedent_store():
+    store = MemoryStore("value", DIM)
+    store.insert(value_sample(0, Embedding.of([0.0] * DIM)))
+    with pytest.raises(SchemaError, match="no advantages"):
+        store.retrieve_top_k(Embedding.of([0.0] * DIM), 1, positive=True)
+
+
+@pytest.mark.parametrize("advantage", [float("nan"), float("inf"), float("-inf")])
+def test_precedent_advantage_must_be_finite(advantage):
+    with pytest.raises(SchemaError, match="advantage must be finite"):
+        precedent(0, advantage)
 
 
 class TestMatrix:
