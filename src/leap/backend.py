@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Iterable, Protocol
 
 import numpy as np
-import requests
 
 from .core import Embedding, Record, canonical_json, read_records
 from .errors import (
@@ -282,6 +281,9 @@ class HttpBackend:
     Speaks the industry-standard wire shape: POST {base_url}/chat/completions
     and POST {base_url}/embeddings, bearer-token auth. Transient failures
     (connection errors, 5xx, 429) are retried with exponential backoff.
+    `requests` is imported when an instance is built (with an injected
+    session, at its first request), so offline and scripted runs never load
+    an HTTP client.
     """
 
     base_url: str
@@ -297,6 +299,8 @@ class HttpBackend:
     def __post_init__(self) -> None:
         self.base_url = self.base_url.rstrip("/")
         if self.session is None:
+            import requests
+
             self.session = requests.Session()
 
     def complete(self, request: ChatRequest) -> str:
@@ -342,6 +346,8 @@ class HttpBackend:
         return canonical_json(body).encode("utf-8")
 
     def _post(self, route: str, body: bytes) -> Any:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

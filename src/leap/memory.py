@@ -230,7 +230,8 @@ class MemoryStore:
                 field="embedding",
             )
         vector = record.embedding.vector
-        sqnorm = vector.dot(vector)
+        with np.errstate(over="ignore"):  # an overflow to inf puts the row outside
+            sqnorm = vector.dot(vector)
         inside = sqnorm <= _SAFE_SQNORM
         with self._lock:
             row = len(self._records)
@@ -296,7 +297,8 @@ class MemoryStore:
         if positive is not None and self.kind != "precedent":
             raise SchemaError(f"a {self.kind} store has no advantages to select by")
         q = query.vector
-        qq = q.dot(q)
+        with np.errstate(over="ignore"):  # an overflow to inf skips the filter
+            qq = q.dot(q)
         filtered = qq <= _SAFE_SQNORM and self.dim <= _SAFE_DIM
         with self._lock:
             head, records = self._head, self._in_order()
@@ -322,9 +324,10 @@ class MemoryStore:
             lower, upper = lower[rows], upper[rows]
             keep = keep[lower <= np.partition(upper, k - 1)[k - 1]]
         # Candidates are in insertion order, so a stable sort breaks ties
-        # toward older records.
+        # toward older records, infinite distances included.
         candidates = np.array([records[i].embedding.vector for i in keep])
-        distances = np.sqrt(((candidates - q) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):
+            distances = np.sqrt(((candidates - q) ** 2).sum(axis=1))
         return [records[i] for i in keep[np.argsort(distances, kind="stable")[:k]]]
 
     def persist(self, path: str | Path) -> None:

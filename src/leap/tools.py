@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol
 
-import requests
-
 from . import calculator as _calculator
 from .backend import ChatMessage, ChatRequest, cosine
 from .core import (
@@ -150,7 +148,12 @@ class FixtureSearch:
 
 @dataclass
 class HttpSearch:
-    """Generic JSON search endpoint: GET url?{query_param}=... and read fields."""
+    """Generic JSON search endpoint: GET url?{query_param}=... and read fields.
+
+    `requests` is imported when an instance is built (with an injected
+    session, at its first request), so offline and scripted runs never load
+    an HTTP client.
+    """
 
     url: str
     query_param: str = "q"
@@ -162,9 +165,13 @@ class HttpSearch:
 
     def __post_init__(self) -> None:
         if self.session is None:
+            import requests
+
             self.session = requests.Session()
 
     def search(self, query: str, k: int) -> str:
+        import requests
+
         try:
             response = self.session.get(
                 self.url, params={self.query_param: query}, timeout=self.timeout_s

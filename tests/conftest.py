@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -307,6 +308,15 @@ def stub_http_server(script):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def refused_url():
+    """A URL on a local port that was bound, read and closed, so a connection
+    to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 @pytest.fixture

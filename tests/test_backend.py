@@ -36,7 +36,7 @@ from leap.errors import (
     UnmatchedFixtureError,
 )
 
-from conftest import stub_http_server
+from conftest import refused_url, stub_http_server
 
 
 def req(content="hello", temperature=1.0, system=""):
@@ -483,6 +483,11 @@ class TestHttpBackend:
             with pytest.raises(RetryExhaustedError):
                 backend.complete(req("x"))
         assert len(record["requests"]) == 3  # first try + 2 retries
+
+    def test_refused_connection_is_a_transport_error(self):
+        backend = HttpBackend(base_url=refused_url(), model="m", retries=1, backoff_s=0.001)
+        with pytest.raises(RetryExhaustedError, match="after 2 attempts .transport error: "):
+            backend.complete(req("x"))
 
     def test_golden_request_body(self):
         with stub_http_server([(200, self.chat_payload())]) as (url, record):

@@ -8,6 +8,7 @@ import random
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,8 @@ def exact_pass_top_k(store, query, k, predicate=None):
     if not records:
         return []
     matrix = np.array([r.embedding.vector for r in records])
-    distances = np.sqrt(((matrix - query.vector) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):  # past about 1e154, distances are inf
+        distances = np.sqrt(((matrix - query.vector) ** 2).sum(axis=1))
     keep = np.array([i for i, r in enumerate(records) if predicate is None or predicate(r)], dtype=np.intp)
     return [records[i] for i in keep[np.argsort(distances[keep], kind="stable")[:k]]]
 
@@ -380,7 +382,6 @@ def test_underflowing_rows_match_the_exact_pass(dim):
             assert store.retrieve_top_k(q, k) == exact_pass_top_k(store, q, k)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("query_scale", [1.0, 1e155])
 def test_overflowing_rows_fall_back_to_the_exact_pass(query_scale):
     """Rows near 1e155 overflow the filter's squared norms; the result is the
@@ -392,6 +393,21 @@ def test_overflowing_rows_fall_back_to_the_exact_pass(query_scale):
     q = Embedding.of(rng.standard_normal(64) * query_scale)
     for k in range(1, 7):
         assert store.retrieve_top_k(q, k) == exact_pass_top_k(store, q, k)
+
+
+def test_a_row_whose_squared_norm_overflows_raises_no_warning():
+    """A valid finite embedding near 1e160 squares to inf: the store treats
+    that as outside the filter's range, without a RuntimeWarning."""
+    big = Embedding.of(np.full(4, 1e160))
+    store = MemoryStore("value", 4, cap=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store.insert(value_sample(0, Embedding.of(np.ones(4))))
+        store.insert(value_sample(1, big))
+        assert store.retrieve_top_k(big, 1) == [store.records()[1]]
+        assert [r.id for r in store.retrieve_top_k(Embedding.of(np.zeros(4)), 2)] == [
+            r.id for r in store.records()
+        ]
 
 
 # Advantages either side of 0.0 that a sign test could get wrong: both zeros,

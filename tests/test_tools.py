@@ -25,7 +25,7 @@ from leap.tools import (
     word_count,
 )
 
-from conftest import FakeChat, StubEmbedder, stub_http_server
+from conftest import FakeChat, StubEmbedder, refused_url, stub_http_server
 
 
 def basic_toolbox(**kwargs):
@@ -197,6 +197,12 @@ class TestWebSearch:
         with stub_http_server([(500, {})]) as (url, _):
             toolbox = basic_toolbox(search=HttpSearch(url=url + "/search"))
             result = toolbox.dispatch(Action(Tool.WEB_SEARCH, ("q",)))
+        assert result.success is False
+        assert result.observation_text.startswith("SEARCH_ERROR:")
+
+    def test_http_provider_refused_connection_becomes_search_error(self):
+        toolbox = basic_toolbox(search=HttpSearch(url=refused_url() + "/search"))
+        result = toolbox.dispatch(Action(Tool.WEB_SEARCH, ("q",)))
         assert result.success is False
         assert result.observation_text.startswith("SEARCH_ERROR:")
 
