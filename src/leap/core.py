@@ -182,8 +182,9 @@ class Embedding:
     def rows_of(cls, matrix: np.ndarray) -> list["Embedding"]:
         """One embedding per row of a 2-D float64 matrix, each a view of its row, not a copy.
 
-        The caller has checked that every entry is finite and hands the matrix
-        over: it is made read-only here, and nothing may write to it again.
+        The caller hands the matrix over, and checks that every entry is finite
+        before any of the embeddings is used: the matrix is made read-only
+        here, and nothing may write to it again.
         """
         matrix.flags.writeable = False
         embeddings = []

@@ -35,8 +35,12 @@ the matrix replaces its old copy, then the lines do. The header holds the
 matrix's sha256, so a torn or mismatched pair fails at load. Loading checks
 the matrix once (its shape, digest and finiteness), gives each record a
 read-only view of its row and rounds the matrix once into the store's float32
-filter. The record lines are read through ``core.read_lines``, a line at a
-time. Stores of format v1, with their embeddings inline, are not read.
+filter. The digest is computed on a helper thread while the record lines
+decode, and finiteness is read off the rows' squared norms; errors keep their
+order all the same: the header, the matrix's form and shape, its digest, a
+row that is not finite, then the lines. The record lines are read through
+``core.read_lines``, a line at a time. Stores of format v1, with their
+embeddings inline, are not read.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -382,29 +386,31 @@ class MemoryStore:
                     raise SchemaError(f"count {count} exceeds the cap", field="count")
             except SchemaError as exc:
                 raise exc.located(at, "") from None
-            matrix = _load_matrix(path, count, store.dim, decoded["matrix_sha256"])
-            embeddings = Embedding.rows_of(matrix)
-            record_type = _KINDS[store.kind]
-            for row, (i, line) in enumerate(lines):
-                if row == count:
-                    raise SchemaError(
-                        f"header declares {count} records, file holds more", line=at, field="count"
-                    )
-                obj = _loads_line(line, i)
-                if isinstance(obj, dict) and "embedding" in obj:
-                    # The codec takes the Embedding in place of its checked row index.
-                    if type(obj["embedding"]) is not int or obj["embedding"] != row:
-                        name = _matrix_path(path).name
-                        raise SchemaError(f"expected row {row} of {name}", line=i, field="embedding")
-                    obj["embedding"] = embeddings[row]
-                store._records.append(record_type.from_dict(obj, line=i))
+            matrix = _load_matrix(path, count, store.dim)
+            # hashlib releases the GIL, so a helper thread hashes the matrix while
+            # this one decodes the lines; the helper allocates nothing the store keeps.
+            digest: list[str] = []
+            hasher = threading.Thread(target=lambda: digest.append(hashlib.sha256(matrix).hexdigest()))
+            hasher.start()
+            try:
+                # Only rows outside the safe range overflow, and they are zeroed, as in insert.
+                with np.errstate(over="ignore"):
+                    sqnorms = np.einsum("ij,ij->i", matrix, matrix)
+                try:
+                    store._records = _decode_records(lines, path, at, matrix, _KINDS[store.kind])
+                except Exception:
+                    # A fault in the matrix is reported before one in the lines.
+                    hasher.join()
+                    _check_matrix(path, matrix, sqnorms, digest, decoded["matrix_sha256"])
+                    raise
+            finally:
+                hasher.join()
+        _check_matrix(path, matrix, sqnorms, digest, decoded["matrix_sha256"])
         if len(store) != count:
             raise SchemaError(
                 f"header declares {count} records, file holds {len(store)}", line=at, field="count"
             )
-        # Only rows outside the safe range overflow, and they are zeroed, as in insert.
         with np.errstate(over="ignore"):
-            sqnorms = np.einsum("ij,ij->i", matrix, matrix)
             store._filter = matrix.astype(np.float32)
         outside = ~(sqnorms <= _SAFE_SQNORM)
         store._filter[outside], sqnorms[outside] = 0.0, 0.0
@@ -416,13 +422,35 @@ class MemoryStore:
         return store
 
 
+def _decode_records(
+    lines: Iterator[tuple[int, str]], path: Path, at: int, matrix: np.ndarray, record_type: Any
+) -> list[Any]:
+    """The records of the lines after a store's header (line ``at``), one per row of ``matrix``."""
+    embeddings, count = Embedding.rows_of(matrix), len(matrix)
+    records = []
+    for row, (i, line) in enumerate(lines):
+        if row == count:
+            raise SchemaError(
+                f"header declares {count} records, file holds more", line=at, field="count"
+            )
+        obj = _loads_line(line, i)
+        if isinstance(obj, dict) and "embedding" in obj:
+            # The codec takes the Embedding in place of its checked row index.
+            if type(obj["embedding"]) is not int or obj["embedding"] != row:
+                name = _matrix_path(path).name
+                raise SchemaError(f"expected row {row} of {name}", line=i, field="embedding")
+            obj["embedding"] = embeddings[row]
+        records.append(record_type.from_dict(obj, line=i))
+    return records
+
+
 def _matrix_path(path: Path) -> Path:
     """The ``.npy`` file that holds the matrix of the store file at ``path``."""
     return path.with_suffix(".npy")
 
 
-def _load_matrix(store_path: Path, count: int, dim: int, sha256: str) -> np.ndarray:
-    """The checked ``(count, dim)`` matrix of finite float64s beside a store file."""
+def _load_matrix(store_path: Path, count: int, dim: int) -> np.ndarray:
+    """The ``(count, dim)`` float64 matrix beside a store file, its form and shape checked."""
     path = _matrix_path(store_path)
     try:
         with path.open("rb") as fh:
@@ -452,15 +480,28 @@ def _load_matrix(store_path: Path, count: int, dim: int, sha256: str) -> np.ndar
             f" the header declares ({count}, {dim})",
             field="count" if matrix.shape[1:] == (dim,) else "dim",
         )
-    if hashlib.sha256(matrix).hexdigest() != sha256:
+    return matrix
+
+
+def _check_matrix(
+    store_path: Path, matrix: np.ndarray, sqnorms: np.ndarray, digest: list[str], sha256: str
+) -> None:
+    """Check a loaded matrix against the header's digest, then its rows for finiteness.
+
+    ``digest`` holds the hex digest the helper thread computed; a hash that
+    failed there (its traceback printed by ``threading.excepthook``) left it
+    empty, and fails as a mismatch. ``sqnorms`` holds the rows' squared norms:
+    a finite one has only finite entries, so only the other rows are checked
+    in full.
+    """
+    path = _matrix_path(store_path)
+    if digest != [sha256]:
         raise SchemaError(
             f"{path.name} does not match the digest in {store_path.name}", field="matrix_sha256"
         )
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise SchemaError(f"row {row} of {path.name} is not finite", field="embedding")
-    return matrix
+    for row in np.flatnonzero(~np.isfinite(sqnorms)).tolist():
+        if not np.isfinite(matrix[row]).all():
+            raise SchemaError(f"row {row} of {path.name} is not finite", field="embedding")
 
 
 class _StagedStore:

@@ -8,8 +8,10 @@ import random
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -773,6 +775,111 @@ class TestPersistence:
         )
         self._load_fails(
             path, r"^line 1: values\.jsonl has no matrix: it is a v1 store.*\(field: matrix_sha256\)$"
+        )
+
+    # The matrix hashes on a helper thread while the lines decode; a load
+    # still reports the fault of the earliest check, and joins the helper.
+
+    def _break_line(self, path):
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, first, "{not json", *rest[1:]]) + "\n", encoding="utf-8")
+
+    def _slow_hash(self, monkeypatch):
+        """Make the helper's hash outlast the decoding, so a missed join would show."""
+        real = hashlib.sha256
+
+        def slow(data):
+            time.sleep(0.05)
+            return real(data)
+
+        monkeypatch.setattr(leap.memory, "hashlib", SimpleNamespace(sha256=slow))
+
+    def _load_fails_joined(self, path, message, monkeypatch):
+        self._slow_hash(monkeypatch)
+        threads = threading.active_count()
+        self._load_fails(path, message)
+        assert threading.active_count() == threads
+
+    def test_torn_pair_is_reported_before_a_bad_line(self, tmp_path, monkeypatch):
+        path, matrix = self._persisted(tmp_path / "a")
+        _, other = self._persisted(tmp_path / "b", first=0.2)
+        matrix.write_bytes(other.read_bytes())
+        self._break_line(path)
+        self._load_fails_joined(
+            path,
+            r"^values\.npy does not match the digest in values\.jsonl \(field: matrix_sha256\)$",
+            monkeypatch,
+        )
+
+    def test_row_that_is_not_finite_is_reported_before_a_bad_line(self, tmp_path, monkeypatch):
+        path, matrix = self._persisted(tmp_path)
+        values = np.load(matrix)
+        values[1, 2] = np.nan
+        np.save(matrix, values)
+        self._rewrite_header(path, matrix_sha256=hashlib.sha256(values).hexdigest())
+        self._break_line(path)
+        self._load_fails_joined(
+            path, r"^row 1 of values\.npy is not finite \(field: embedding\)$", monkeypatch
+        )
+
+    def test_bad_line_beside_a_good_matrix_is_reported(self, tmp_path, monkeypatch):
+        path, _ = self._persisted(tmp_path)
+        self._break_line(path)
+        self._load_fails_joined(path, r"^line 3: invalid JSON: ", monkeypatch)
+
+    def test_a_load_leaves_no_thread_behind(self, tmp_path, monkeypatch):
+        path, _ = self._persisted(tmp_path)
+        self._slow_hash(monkeypatch)
+        threads = threading.active_count()
+        assert len(MemoryStore.load(path)) == 3
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_while_lines_decode_propagates_and_joins(self, tmp_path, monkeypatch):
+        # The matrix is torn too: the interrupt must not become a digest error.
+        path, matrix = self._persisted(tmp_path / "a")
+        _, other = self._persisted(tmp_path / "b", first=0.2)
+        matrix.write_bytes(other.read_bytes())
+        real = leap.memory._loads_line
+
+        def interrupted(line, line_no):
+            if line_no > 1:  # a record line, not the header
+                raise KeyboardInterrupt
+            return real(line, line_no)
+
+        monkeypatch.setattr(leap.memory, "_loads_line", interrupted)
+        self._slow_hash(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            MemoryStore.load(path)
+        assert threading.active_count() == threads
+
+    def _persisted_with_rows(self, directory, rows):
+        """A value store of ``rows``, written by hand: it may hold rows no insert takes."""
+        path = directory / "values.jsonl"
+        np.save(path.with_suffix(".npy"), rows)
+        header = {"dim": rows.shape[1], "cap": None, "count": len(rows), "kind": "value",
+                  "matrix_sha256": hashlib.sha256(rows).hexdigest()}
+        lines = [json.dumps({"id": f"v{i}", "state_summary": "s", "value": 0.5, "embedding": i})
+                 for i in range(len(rows))]
+        path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+        return path
+
+    def test_row_whose_squared_norm_overflows_loads_without_a_warning(self, tmp_path):
+        rows = np.array([np.full(4, 1e200), np.ones(4), np.zeros(4)])
+        path = self._persisted_with_rows(tmp_path, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = MemoryStore.load(path)
+            records = store.records()
+            assert [r.id for r in store.retrieve_top_k(records[0].embedding, 3)] == ["v0", "v1", "v2"]
+            assert store.retrieve_top_k(Embedding.of(np.zeros(4)), 1) == [records[2]]
+        assert np.array_equal(records[0].embedding.vector, rows[0])
+
+    def test_first_row_that_is_not_finite_is_named_past_an_overflowing_one(self, tmp_path):
+        rows = np.array([np.full(4, 1e200), np.ones(4), [0.0, np.nan, 0.0, 0.0]])
+        self._load_fails(
+            self._persisted_with_rows(tmp_path, rows),
+            r"^row 2 of values\.npy is not finite \(field: embedding\)$",
         )
 
     def test_memories_bundle_roundtrip(self, tmp_path):
