@@ -12,7 +12,6 @@ from .core import (
     AdvantageReport,
     Claim,
     Label,
-    StateView,
     Step,
     Tool,
     Trajectory,
@@ -25,7 +24,6 @@ __all__ = [
     "AdvantageReport",
     "Claim",
     "Label",
-    "StateView",
     "Step",
     "Tool",
     "Trajectory",

@@ -23,7 +23,7 @@ from .core import (
     Embedding,
     Label,
     Record,
-    StateView,
+    Step,
     Tool,
     TOOL_BY_NAME,
     Trajectory,
@@ -346,16 +346,17 @@ class Actor(_Agent):
 
     def act(
         self,
-        state: StateView,
+        claim: Claim,
+        steps: Sequence[Step],
         strategy: VerificationStrategy,
         precedents_pos: Sequence,
         precedents_neg: Sequence,
         max_steps: int,
         decoding: Decoding,
     ) -> tuple[str, Action]:
-        if len(state.steps) >= max_steps:
-            raise ValueError(f"state already has {len(state.steps)} steps, max_steps={max_steps}")
-        if len(state.steps) == max_steps - 1:
+        if len(steps) >= max_steps:
+            raise ValueError(f"state already has {len(steps)} steps, max_steps={max_steps}")
+        if len(steps) == max_steps - 1:
             return (
                 "Step limit reached; recording a terminal verdict.",
                 Action(tool=Tool.GET_ANSWER, args=(self.forced_verdict.value, "MAX_STEPS")),
@@ -363,9 +364,9 @@ class Actor(_Agent):
         return self._ask(
             parse_react,
             decoding,
-            claim=format_claim_block(state.claim),
+            claim=format_claim_block(claim),
             strategy=format_strategy(strategy),
-            history=format_history(state.steps),
+            history=format_history(steps),
             precedents_pos=format_precedents(precedents_pos),
             precedents_neg=format_precedents(precedents_neg),
         )

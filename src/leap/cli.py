@@ -20,9 +20,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .backend import HashingEmbedder, HttpBackend, ScriptedProvider
-from .config import Config, config_hash, default_config, load_config
+from .config import Config, config_hash, load_config
 from .core import TOOL_BY_NAME, Action, load_trajectories, write_record_lines
-from .errors import ConfigError, DatasetFormatError, LeapError
+from .errors import ConfigError, DatasetFormatError, LeapError, SchemaError
 from .evaluation import (
     DATASET_FORMATS,
     PerClaim,
@@ -221,7 +221,11 @@ def cmd_eval(args) -> int:
         raise DatasetFormatError(f"evaluation needs gold labels; missing for {unlabeled[:5]}")
     if args.n is not None:
         seed = args.seed if args.seed is not None else config.learning.seed
-        claims = sample_split(claims, args.n, seed)
+        try:
+            claims = sample_split(claims, args.n, seed)
+        except SchemaError as exc:  # --n is 0 or past the dataset: a flag problem
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
     memories = _load_memories(config)
     runtime = _build_runtime(config)
     results, failures = runtime.run_detection(claims, memories, out_path=None)
@@ -247,7 +251,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tool(args) -> int:
-    config = load_config(args.config) if args.config else default_config()
+    config = load_config(args.config) if args.config else Config()
     templates = load_templates(config.paths.prompts_dir)
     chat, embedder = _build_backend(config)
     toolbox = _build_toolbox(config, chat, embedder, templates)

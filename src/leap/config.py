@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -31,7 +32,6 @@ __all__ = [
     "ToolsConfig",
     "PathsConfig",
     "Config",
-    "default_config",
     "load_config",
     "config_from_dict",
     "effective_dict",
@@ -94,8 +94,8 @@ class LearningConfig(Record):
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise SchemaError(f"gamma {self.gamma} outside [0, 1]", field="gamma")
-        if self.lam < 0.0:
-            raise SchemaError("lambda must be non-negative", field="lambda")
+        if not 0.0 <= self.lam < math.inf:
+            raise SchemaError("lambda must be non-negative and finite", field="lambda")
         _at_least_one(self, "k_reflections", "k_precedents_pos", "k_precedents_neg", "max_steps")
         if self.memory_cap is not None and self.memory_cap < 1:
             raise SchemaError("memory_cap must be positive or None", field="memory_cap")
@@ -105,6 +105,10 @@ class LearningConfig(Record):
 @dataclass(frozen=True)
 class CorrectionConfig(Record):
     theta_corr: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.theta_corr):
+            raise SchemaError("theta_corr must be finite", field="theta_corr")
 
 
 @dataclass(frozen=True)
@@ -160,10 +164,6 @@ class Config(Record):
     correction: CorrectionConfig = CorrectionConfig()
     tools: ToolsConfig = ToolsConfig()
     paths: PathsConfig = PathsConfig()
-
-
-def default_config() -> Config:
-    return Config()
 
 
 def load_config(path: str | Path) -> Config:

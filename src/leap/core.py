@@ -53,7 +53,6 @@ __all__ = [
     "Step",
     "AdvantageReport",
     "Trajectory",
-    "StateView",
     "parse_verdict_label",
     "answer_verdict",
     "count_tool_calls",
@@ -513,17 +512,6 @@ class Trajectory(Record):
             verdict=verdict,
             advantage=advantage,
         )
-
-
-@dataclass(frozen=True)
-class StateView:
-    """The claim plus a prefix of steps: everything an agent may condition on."""
-
-    claim: Claim
-    steps: tuple[Step, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
 
 
 def count_tool_calls(trajectory: Trajectory) -> int:

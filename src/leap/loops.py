@@ -37,7 +37,6 @@ from .core import (
     Embedding,
     Label,
     Record,
-    StateView,
     Step,
     Tool,
     Trajectory,
@@ -49,6 +48,7 @@ from .core import (
     serialize,
     strategy_id,
     write_record_lines,
+    write_trajectories,
 )
 from .config import DecodingConfig, LearningConfig
 from .errors import CurationError, SchemaError
@@ -195,9 +195,8 @@ class Runtime:
         )
         steps: list[Step] = []
         while True:
-            state = StateView(claim=claim, steps=tuple(steps))
             thought, action = self.actor.act(
-                state, strategy, pos, neg, self.config.max_steps, decoding
+                claim, steps, strategy, pos, neg, self.config.max_steps, decoding
             )
             result = self.toolbox.dispatch(action)
             steps.append(Step(thought=thought, action=action, observation=result.observation_text))
@@ -354,7 +353,7 @@ class Runtime:
             claims, memories, self.run_learning_episode, "episode", self.config.concurrency, strict
         )
         # An interrupted batch still writes what finished, with a partial manifest.
-        write_record_lines(out_dir / "trajectories.jsonl", (serialize(t) for t in completed))
+        write_trajectories(out_dir / "trajectories.jsonl", completed)
         write_record_lines(
             out_dir / "failures.jsonl",
             (canonical_json({"claim_id": cid, "error": msg}) for cid, msg in failures),

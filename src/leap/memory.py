@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -171,6 +172,10 @@ class ValueSample(Record):
     value: float
     embedding: Embedding
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise SchemaError("value must be finite", field="value")
+
 
 # Store kind -> the record type it holds. The kind's plural names both the
 # ``Memories`` field and the store's file.
@@ -279,7 +284,6 @@ class MemoryStore:
         self,
         query: Embedding,
         k: int,
-        predicate: Callable[[Any], bool] | None = None,
         *,
         positive: bool | None = None,
     ) -> list[Any]:
@@ -319,8 +323,6 @@ class MemoryStore:
             keep = np.arange(n)
         else:
             keep = np.flatnonzero(np.roll(selected, -head))
-        if predicate is not None:
-            keep = np.array([i for i in keep.tolist() if predicate(records[i])], dtype=np.intp)
         if not len(keep):
             return []
         if filtered and len(keep) > k:
@@ -557,11 +559,14 @@ class Memories:
     ) -> "Memories":
         """The stores saved in ``directory``, whose dim must be ``dim``, else fresh stores.
 
-        Saved stores take ``cap``; one holding more records keeps the newest,
-        as if they had been inserted under that cap.
+        Stores are fresh only when none of their six files is there; some of
+        them fail in ``load``, which names a missing one. Saved stores take
+        ``cap``; one holding more records keeps the newest, as if they had
+        been inserted under that cap.
         """
         directory = Path(directory)
-        if not (directory / "reflections.jsonl").exists():
+        names = os.listdir(directory) if directory.is_dir() else []
+        if {f"{kind}s{suffix}" for kind in _KINDS for suffix in (".jsonl", ".npy")}.isdisjoint(names):
             return cls.fresh(dim, cap)
         stores = {}
         for name, store in vars(cls.load(directory)).items():

@@ -25,7 +25,6 @@ from leap.backend import HashingEmbedder
 from leap.core import (
     Action,
     Label,
-    StateView,
     Step,
     Tool,
     Trajectory,
@@ -330,9 +329,8 @@ class TestPlanner:
 
 class TestActor:
     def act(self, chat, steps=(), max_steps=10):
-        state = StateView(claim=make_claim(1), steps=tuple(steps))
         return Actor(chat, _template("actor")).act(
-            state, make_strategy(), [], [], max_steps, LEARN
+            make_claim(1), steps, make_strategy(), [], [], max_steps, LEARN
         )
 
     def test_parses_single_turn(self):

@@ -13,9 +13,9 @@ import pytest
 from leap.backend import ScriptedProvider
 from leap.cli import main
 from leap.config import (
+    Config,
     config_from_dict,
     config_hash,
-    default_config,
     effective_dict,
     load_config,
 )
@@ -30,8 +30,8 @@ from conftest import detection_entries, episode_entries, make_claim, stub_http_s
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(effective_dict(default_config())))
-        assert load_config(path) == default_config()
+        path.write_text(json.dumps(effective_dict(Config())))
+        assert load_config(path) == Config()
 
     def test_effective_round_trip_with_overrides(self, tmp_path):
         config = config_from_dict(
@@ -79,6 +79,11 @@ class TestConfig:
             ("tools", "code_executor", "python3 -c"),
             ("learning", "memory_cap", True),
             ("paths", "prompts_dir", 7),
+            ("learning", "lambda", float("nan")),
+            ("learning", "lambda", float("inf")),
+            ("correction", "theta_corr", float("nan")),
+            ("correction", "theta_corr", float("inf")),
+            ("correction", "theta_corr", float("-inf")),
         ],
     )
     def test_out_of_range_values_rejected(self, section, key, value):
@@ -102,15 +107,15 @@ class TestConfig:
     def test_integers_load_as_floats(self):
         config = config_from_dict({"learning": {"gamma": 1}, "correction": {"theta_corr": 0}})
         assert type(config.learning.gamma) is float and type(config.correction.theta_corr) is float
-        assert config_hash(config) == config_hash(default_config())
+        assert config_hash(config) == config_hash(Config())
 
     def test_default_hash_is_pinned(self):
-        assert config_hash(default_config()) == "f068ad5c770a01b3"
+        assert config_hash(Config()) == "f068ad5c770a01b3"
 
     def test_readme_lists_the_effective_defaults(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         block = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
-        assert json.loads(block) == effective_dict(default_config())
+        assert json.loads(block) == effective_dict(Config())
 
 
 class Workspace:
@@ -401,6 +406,15 @@ class TestEvalCommand:
         report = parse_report(capsys.readouterr().out.strip())
         assert (report.n, report.accuracy, report.f1) == (0, 0.0, 0.0)
         assert report.failed == tuple(c.id for c in workspace.claims[:2])
+
+    @pytest.mark.parametrize(
+        "n,message", [("0", "sample size must be positive"), ("5", "sample size 5 exceeds population 4")]
+    )
+    def test_sample_size_out_of_range_is_validation_error(self, workspace, capsys, n, message):
+        workspace.use_detect_script()
+        code = main(["eval", "--config", workspace.config, "--dataset", str(workspace.claims_path), "--n", n])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBadReplyFailsOnlyItsClaim:

@@ -139,7 +139,7 @@ class TestLearningEpisode:
         assert trajectory.advantage.advantage == 0.0
         assert len(memories.reflections) == 0
         query = trajectory and memories.precedents.records()[0].embedding
-        negatives = memories.precedents.retrieve_top_k(query, 5, lambda r: r.advantage <= 0)
+        negatives = memories.precedents.retrieve_top_k(query, 5, positive=False)
         assert [r.claim_text for r in negatives] == [format_claim_block(claim)]
 
     def test_multi_step_episode_counts_states_and_tools(self):
@@ -447,9 +447,9 @@ class TestDetect:
         seen = []
         act = runtime.actor.act
 
-        def spy(state, strategy, pos, neg, *rest):
+        def spy(claim, steps, strategy, pos, neg, *rest):
             seen.append(([r.id for r in pos], [r.id for r in neg]))
-            return act(state, strategy, pos, neg, *rest)
+            return act(claim, steps, strategy, pos, neg, *rest)
 
         runtime.actor.act = spy
         runtime.detect(claim, memories)

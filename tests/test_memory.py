@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import leap.memory
 
@@ -133,14 +133,14 @@ class TestRetrieve:
         got = store.retrieve_top_k(Embedding.of([0.0] * DIM), 3)
         assert [r.id for r in got] == ["v00000", "v00001", "v00002"]
 
-    def test_predicate_filters_before_ranking(self):
+    def test_advantage_sign_selects_before_ranking(self):
         store = MemoryStore("precedent", DIM, cap=None)
         store.insert(precedent(0, advantage=1.0))
         store.insert(precedent(1, advantage=-0.5))
         store.insert(precedent(2, advantage=0.0))
         query = Embedding.of([0.0] * DIM)
-        pos = store.retrieve_top_k(query, 5, lambda r: r.advantage > 0)
-        neg = store.retrieve_top_k(query, 5, lambda r: r.advantage <= 0)
+        pos = store.retrieve_top_k(query, 5, positive=True)
+        neg = store.retrieve_top_k(query, 5, positive=False)
         assert [r.id for r in pos] == ["p00000"]
         assert [r.id for r in neg] == ["p00001", "p00002"]
 
@@ -157,8 +157,13 @@ class TestRetrieve:
 
 # A small dim keeps numpy's per-row sum in the same order as the oracle's.
 PROP_DIM = 4
-# No filter, then the precedent split at an advantage of 0.0.
-PREDICATES = (None, lambda r: r.advantage > 0, lambda r: r.advantage <= 0)
+# No selection, then the precedent split at an advantage of 0.0.
+SELECTIONS = (None, True, False)
+
+
+def selects(record, positive):
+    """The oracle's selection, read off the record's own advantage, never the store's column."""
+    return positive is None or (record.advantage > 0) == positive
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,23 +190,23 @@ def test_retrieval_equals_the_oracle_after_eviction_and_ties(cap, pool, inserts,
     live = inserted[-cap:]
     assert store.records() == live
     q = Embedding.of(pool[query % len(pool)])
-    for predicate in PREDICATES:
-        candidates = [(i, r) for i, r in enumerate(live) if predicate is None or predicate(r)]
+    for positive in SELECTIONS:
+        candidates = [(i, r) for i, r in enumerate(live) if selects(r, positive)]
         ranked = sorted(candidates, key=lambda pair: (euclidean(pair[1].embedding, q), pair[0]))
         expected = [r.id for _, r in ranked[:k]]
-        assert [r.id for r in store.retrieve_top_k(q, k, predicate)] == expected
+        assert [r.id for r in store.retrieve_top_k(q, k, positive=positive)] == expected
 
 
-def exact_pass_top_k(store, query, k, predicate=None):
+def exact_pass_top_k(store, query, k, positive=None):
     """The reference: one exact distance pass over every live row, then the
-    predicate, then a stable sort in insertion order."""
+    selection by each record's own advantage, then a stable sort in insertion order."""
     records = store.records()
     if not records:
         return []
     matrix = np.array([r.embedding.vector for r in records])
     with np.errstate(over="ignore"):  # past about 1e154, distances are inf
         distances = np.sqrt(((matrix - query.vector) ** 2).sum(axis=1))
-    keep = np.array([i for i, r in enumerate(records) if predicate is None or predicate(r)], dtype=np.intp)
+    keep = np.array([i for i, r in enumerate(records) if selects(r, positive)], dtype=np.intp)
     return [records[i] for i in keep[np.argsort(distances[keep], kind="stable")[:k]]]
 
 
@@ -225,6 +230,11 @@ _FLOAT32_EDGES = [
     3.5e38, -1e39, 1e150, 1.1754942e-38, -1e-38, 1e-39, 1.4e-45, 7e-46, -1e-46, 1e-300,
     2.0**50, 2.0**50.5, -1.1e15,
 ]
+
+
+# Rows, drawn at seed 0 around a centre of norm 1 at dim 1 with the query
+# ("near", 2), whose nearest row a filter bound 100 times too small drops.
+NEAR_TIE = [("near", 0)] * 26 + [("near", 6)] * 2
 
 
 def _random_row(dim, norm, rng):
@@ -251,6 +261,17 @@ def _make_row(how, centre, earlier, rng):
     return row
 
 
+# Advantage signs that select one row and some rows, then all rows and none;
+# then a near tie (NEAR_TIE) under a selection of two rows.
+@example(
+    dim=64, cap=None, centre=0, rows=[(("fresh", 0), a) for a in (-1.0, 0.5, 0.0)],
+    query=("near", 3), k=2, seed=0,
+)
+@example(dim=64, cap=5, centre=0, rows=[(("near", 2), 0.5)] * 8, query=("near", 3), k=1, seed=0)
+@example(
+    dim=1, cap=None, centre=0, rows=list(zip(NEAR_TIE, [-1.0] * 26 + [0.5] * 2)),
+    query=("near", 2), k=1, seed=0,
+)
 @settings(max_examples=200, deadline=None)
 @given(
     dim=st.sampled_from([1, 64, 1536]),
@@ -265,13 +286,14 @@ def _make_row(how, centre, earlier, rng):
 )
 def test_filtered_retrieval_equals_the_exact_pass(dim, cap, centre, rows, query, k, seed):
     """Duplicate rows, rows one ulp apart, near ties, norms from 1e-165 to
-    1e150, k at or past the live rows, predicates keeping none, one, some or
-    all rows, and a ring wrapped by inserts past the cap. Rows and queries
+    1e150, k at or past the live rows, advantage signs that select none, one,
+    some or all rows, and a ring wrapped by inserts past the cap. Rows and queries
     with entries past float32's range, below its normal range, and of mixed
     scale, inside and outside the filter's safe range."""
     check_filtered_retrieval(dim, cap, centre, rows, query, k, seed)
 
 
+@example(dim=1, centre=0, rows=[(how, 0.5) for how in NEAR_TIE], query=("near", 2), k=1, seed=0)
 @settings(max_examples=100, deadline=None)
 @given(
     dim=st.sampled_from([1, 64, 1536]),
@@ -300,18 +322,8 @@ def check_filtered_retrieval(dim, cap, centre, rows, query, k, seed):
         vectors.append(_make_row(how, centre, vectors, rng))
         store.insert(precedent(i, advantage, Embedding.of(vectors[-1])))
     q = Embedding.of(_make_row(query, centre, vectors, rng))
-    live = store.records()
-    one = live[len(live) // 2].id if live else None
-    predicates = (
-        None,
-        lambda r: False,
-        lambda r: True,
-        lambda r: r.id == one,
-        lambda r: r.advantage > 0,
-        lambda r: r.advantage <= 0,
-    )
-    for predicate in predicates:
-        assert store.retrieve_top_k(q, k, predicate) == exact_pass_top_k(store, q, k, predicate)
+    for positive in SELECTIONS:
+        assert store.retrieve_top_k(q, k, positive=positive) == exact_pass_top_k(store, q, k, positive)
 
 
 # Entries whose bits a decimal or rounded form would lose: signed zeros,
@@ -359,8 +371,9 @@ def test_persist_then_load_keeps_every_record_bit_and_result(dim, cap, inserts, 
     queries = [Embedding.of(rng.standard_normal(dim))] + [r.embedding for r in store.records()[:2]]
     for q in queries:
         for k in (1, 3):
-            for predicate in (None, lambda r: r.advantage > 0):
-                assert loaded.retrieve_top_k(q, k, predicate) == store.retrieve_top_k(q, k, predicate)
+            for positive in SELECTIONS:
+                expected = exact_pass_top_k(store, q, k, positive)
+                assert loaded.retrieve_top_k(q, k, positive=positive) == expected
     # The loaded ring evicts where the original does.
     for s in (store, loaded):
         s.insert(precedent(inserts, 1.0, queries[0]))
@@ -417,18 +430,17 @@ def test_a_row_whose_squared_norm_overflows_raises_no_warning():
 _ADVANTAGES = [0.0, -0.0, 5e-324, -5e-324, -1.0, 0.5, -1e300, 1e300]
 
 
-def assert_column_selects_as_the_predicate(store, rng):
-    """``positive=True`` selects what ``advantage > 0`` does, ``False`` its complement."""
+def assert_column_selects_by_sign(store, rng):
+    """``positive=True`` selects the records whose own advantage is above 0, ``False`` the rest."""
     records = store.records()
     queries = [Embedding.of(rng.standard_normal(store.dim))] + [r.embedding for r in records[:2]]
-    for positive, predicate in ((True, lambda r: r.advantage > 0), (False, lambda r: not r.advantage > 0)):
-        expected = [r.id for r in records if predicate(r)]
+    for positive in (True, False):
+        expected = [r.id for r in records if selects(r, positive)]
         for q in queries:
             everything = store.retrieve_top_k(q, len(records) + 1, positive=positive)
             assert sorted(r.id for r in everything) == sorted(expected)
             for k in (1, 3):
-                assert store.retrieve_top_k(q, k, positive=positive) == store.retrieve_top_k(q, k, predicate)
-                assert store.retrieve_top_k(q, k, positive=positive) == exact_pass_top_k(store, q, k, predicate)
+                assert store.retrieve_top_k(q, k, positive=positive) == exact_pass_top_k(store, q, k, positive)
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +451,7 @@ def assert_column_selects_as_the_predicate(store, rng):
     recap=st.one_of(st.none(), st.integers(1, 6)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_advantage_column_selects_as_the_predicate(dim, cap, advantages, recap, seed):
+def test_advantage_column_selects_by_sign(dim, cap, advantages, recap, seed):
     """Signed zeros and subnormal advantages, a ring wrapped by inserts past
     the cap, then the same after persist and load, and after ``load_or_fresh``
     re-caps the stores."""
@@ -447,19 +459,19 @@ def test_advantage_column_selects_as_the_predicate(dim, cap, advantages, recap, 
     memories = Memories.fresh(dim, cap)
     for i, advantage in enumerate(advantages):
         memories.precedents.insert(precedent(i, advantage, Embedding.of(rng.standard_normal(dim))))
-    assert_column_selects_as_the_predicate(memories.precedents, rng)
+    assert_column_selects_by_sign(memories.precedents, rng)
     with tempfile.TemporaryDirectory() as tmp:
         memories.persist(tmp)
         loaded = Memories.load(tmp)
-        assert_column_selects_as_the_predicate(loaded.precedents, rng)
+        assert_column_selects_by_sign(loaded.precedents, rng)
         recapped = Memories.load_or_fresh(tmp, dim, recap)
     assert recapped.precedents.records() == memories.precedents.records()[-recap if recap else 0 :]
-    assert_column_selects_as_the_predicate(recapped.precedents, rng)
+    assert_column_selects_by_sign(recapped.precedents, rng)
     # Inserts past the cap keep the column in step with the rows they reuse.
     for store in (loaded.precedents, recapped.precedents):
         for i, advantage in enumerate(reversed(_ADVANTAGES)):
             store.insert(precedent(100 + i, advantage, Embedding.of(rng.standard_normal(dim))))
-        assert_column_selects_as_the_predicate(store, rng)
+        assert_column_selects_by_sign(store, rng)
 
 
 def test_advantage_selection_needs_a_precedent_store():
@@ -921,6 +933,23 @@ class TestPersistence:
         assert json.loads((tmp_path / "values.jsonl").read_text().splitlines()[0])["cap"] == 3
         unbounded = Memories.load_or_fresh(tmp_path, DIM, None)
         assert unbounded.values.cap is None and len(unbounded.values) == 3
+
+    @pytest.mark.parametrize("missing", ["reflections.jsonl", "precedents.npy", "values.jsonl"])
+    def test_load_or_fresh_fails_on_a_partial_directory(self, tmp_path, missing):
+        """Fresh stores persisted over a partial directory would lose what it holds."""
+        memories = Memories.fresh(DIM)
+        memories.precedents.insert(precedent(0, 1.0))
+        memories.persist(tmp_path)
+        (tmp_path / missing).unlink()
+        with pytest.raises((SchemaError, StorageError), match=missing.replace(".", r"\.")):
+            Memories.load_or_fresh(tmp_path, DIM)
+
+    def test_load_or_fresh_starts_fresh_without_any_store_file(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a store")
+        (tmp_path / ".values.jsonl.1.2.tmp").write_text("")  # a persist that never finished
+        memories = Memories.load_or_fresh(tmp_path, DIM)
+        assert [len(s) for s in vars(memories).values()] == [0, 0, 0]
+        assert len(Memories.load_or_fresh(tmp_path / "absent", DIM).values) == 0
 
 
 class TestRecordInvariants:

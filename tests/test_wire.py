@@ -178,6 +178,8 @@ REJECTIONS = {
         ("values.jsonl", 2, "value", _DELETE, "missing field", "value"),
         ("values.jsonl", 2, "extra", 1, "unknown field", "extra"),
         ("values.jsonl", 2, "value", False, "", "value"),
+        ("values.jsonl", 2, "value", float("nan"), "value must be finite", "value"),
+        ("values.jsonl", 3, "value", float("-inf"), "value must be finite", "value"),
         ("values.jsonl", 2, "embedding", {"0": 1.0}, "", "embedding"),
         ("values.jsonl", 2, "embedding", 0.0, "expected row 0 of values.npy", "embedding"),
         ("values.jsonl", 2, "embedding", False, "expected row 0 of values.npy", "embedding"),
