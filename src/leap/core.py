@@ -17,6 +17,11 @@ is required and a field with a default is optional, unknown keys are
 rejected, and ``wire_value`` checks each value against the field's
 annotation; the config sections are records too. Errors carry the line
 number and the field path, e.g. ``steps[1].action.tool``.
+
+Each record type's decoder is generated on first use, as ``dataclasses``
+generates ``__init__``: it checks the key set and each field's common form
+inline and calls a nested record's decoder directly. Any other key set or
+value goes to the checks ``wire_value`` makes, field by field in order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from types import NoneType
 from typing import IO, Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -199,37 +204,54 @@ class _Codec:
     """The encoder and decoder of one record type, built once from its fields."""
 
     def __init__(self, cls: type) -> None:
-        hints = get_type_hints(cls)
         self.cls = cls
-        # (field name, wire key, the JSON type taken as it is, checker)
-        self.fields: list[tuple[str, str, type | None, Callable]] = []
-        self.required: set[str] = set()
-        self.optional: set[str] = set()
-        for f in fields(cls):
-            key, hint = WIRE_KEYS.get(f.name, f.name), hints[f.name]
-            self.fields.append((f.name, key, _plain_type(hint), _checker(hint)))
-            has_default = f.default is not MISSING or f.default_factory is not MISSING
-            (self.optional if has_default else self.required).add(key)
+        # (field name, wire key), in field order
+        self.keys = [(f.name, WIRE_KEYS.get(f.name, f.name)) for f in fields(cls)]
 
     def encode(self, record: Any) -> dict[str, Any]:
         out = {}
-        for name, key, _, _ in self.fields:
+        for name, key in self.keys:
             value = getattr(record, name)
             if value is not None:
                 out[key] = value if type(value) in _PLAIN else _wire(value)
         return out
 
-    def decode(self, obj: Any, path: str, line: int | None) -> Any:
-        _check_keys(obj, self.required, self.optional, path, line)
-        kwargs = {}
-        for name, key, plain, check in self.fields:
-            if key in obj:
-                value = obj[key]
-                kwargs[name] = value if type(value) is plain else check(value, _join(path, key), line)
-        try:
-            return self.cls(**kwargs)
-        except SchemaError as exc:  # the record's own invariants
-            raise exc.located(line, path) from None
+    @cached_property
+    def decode(self) -> Callable[[Any, str, int | None], Any]:
+        """The function (obj, path, line) that decodes this type, generated on first use.
+
+        It checks the key set and then each field in order, its value's
+        common form inline. Any other key set goes to ``_check_keys`` and any
+        other value to the field's ``_checker``, which converts it or raises.
+        """
+        hints, required, optional = get_type_hints(self.cls), set(), set()
+        env = {"cls": self.cls, "SchemaError": SchemaError, "_check_keys": _check_keys, "_join": _join}
+        body, args = ["kwargs = {}"], []
+        for i, (f, (name, key)) in enumerate(zip(fields(self.cls), self.keys)):
+            v, where, hint = f"v{i}", f"_join(path, {key!r})", hints[name]
+            env[f"check{i}"] = _checker(hint)
+            test, value = _inline(hint, v, where, env)
+            read = [f"{v} = obj[{key!r}]", f"{v} = {value} if {test} else check{i}({v}, {where}, line)"]
+            if f.default is MISSING and f.default_factory is MISSING:
+                required.add(key)
+                body += read
+                args.append(f"{name}={v}")
+            else:  # left to the dataclass's default when absent
+                optional.add(key)
+                body += [f"if {key!r} in obj:", *(f"    {s}" for s in read), f"    kwargs[{name!r}] = {v}"]
+        env.update(required=required, optional=optional, allowed=required | optional)
+        source = "\n    ".join([
+            "def decode(obj, path, line):",
+            "if type(obj) is not dict or not required <= obj.keys() <= allowed:",
+            "    _check_keys(obj, required, optional, path, line)",
+            *body,
+            "try:",
+            f"    return cls({''.join(a + ', ' for a in args)}**kwargs)",
+            "except SchemaError as exc:  # the record's own invariants",
+            "    raise exc.located(line, path) from None",
+        ])
+        exec(source, env)
+        return env["decode"]
 
 
 # One codec per record type, built on first use.
@@ -299,11 +321,27 @@ def _checker(hint: Any) -> Callable[[Any, str, int | None], Any]:
 _PLAIN = {str: "a string", int: "an integer", float: "a number", bool: "a boolean", dict: "an object"}
 
 
-def _plain_type(hint: Any) -> type | None:
-    """The JSON type whose values a field takes without conversion, if any."""
+def _inline(hint: Any, v: str, where: str, env: dict[str, Any]) -> tuple[str, str]:
+    """The test for the common form of a value ``v`` of the annotated type, and its decoding.
+
+    A value the test fails goes to the field's checker, as does every value
+    of a type with no common form here, whose test is ``False``.
+    """
     if get_origin(hint) is tuple:
-        return None
-    return next((a for a in (hint, *get_args(hint)) if a in _PLAIN), None)
+        if get_args(hint)[0] is str:
+            return f"type({v}) is list and all(type(x) is str for x in {v})", f"tuple({v})"
+        return "False", v
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        env[f"members_{v}"] = hint._value2member_map_
+        return f"type({v}) is str and {v} in members_{v}", f"members_{v}[{v}]"
+    for a in (hint, *get_args(hint)):
+        if a in _PLAIN or a is Embedding:  # a type the field takes as it is
+            env[f"type_{v}"] = a
+            return f"type({v}) is type_{v}", v
+        if isinstance(a, type) and issubclass(a, Record) and hint in (a, a | None):
+            env[f"decode_{v}"] = _codec(a).decode
+            return f"{v} is not None", f"decode_{v}({v}, {where}, line)"
+    return "False", v
 
 
 def _is_number(value: Any) -> bool:
@@ -590,7 +628,11 @@ def linearize_target(trajectory: Trajectory) -> str:
 
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: compact separators, keys in schema order, UTF-8."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return _encode(obj)
+
+
+# What ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`` calls, built once.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def serialize(value: Any) -> str:
@@ -599,10 +641,25 @@ def serialize(value: Any) -> str:
 
 
 def _loads_line(line: str, line_no: int | None) -> Any:
+    """The JSON value of a line, parsed as ``json.loads`` parses it.
+
+    A line that holds one value and at most a final newline is parsed by the
+    scanner that ``json.JSONDecoder.raw_decode`` calls, without that method's
+    frame; any other goes through ``json.loads``, for the wording of its errors.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line) or line[end:] == "\n":
+            return value
+    except (StopIteration, json.JSONDecodeError):  # no value at 0, or a malformed one
+        pass
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+
+
+_scan_once = json.JSONDecoder().scan_once
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:

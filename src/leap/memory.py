@@ -61,6 +61,7 @@ from .core import (
     Record,
     VerificationStrategy,
     _check_keys,
+    _codec,
     _loads_line,
     atomic_file,
     canonical_json,
@@ -429,7 +430,7 @@ def _decode_records(
 ) -> list[Any]:
     """The records of the lines after a store's header (line ``at``), one per row of ``matrix``."""
     embeddings, count = Embedding.rows_of(matrix), len(matrix)
-    records = []
+    decode, records = _codec(record_type).decode, []
     for row, (i, line) in enumerate(lines):
         if row == count:
             raise SchemaError(
@@ -442,7 +443,7 @@ def _decode_records(
                 name = _matrix_path(path).name
                 raise SchemaError(f"expected row {row} of {name}", line=i, field="embedding")
             obj["embedding"] = embeddings[row]
-        records.append(record_type.from_dict(obj, line=i))
+        records.append(decode(obj, "", i))
     return records
 
 

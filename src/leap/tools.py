@@ -11,9 +11,11 @@ when the toolbox is built.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -200,6 +202,22 @@ def _format_real(value: float) -> str:
     return repr(value)
 
 
+# Limits on a code_interpreter child, set by a wrapper that then execs the
+# executor (``preexec_fn`` is unsafe in a threaded process). Its CPU limit is
+# code_timeout_ms rounded up to whole seconds; a lower limit already in force stays.
+CODE_ADDRESS_SPACE = 1 << 30  # bytes of virtual memory
+CODE_FILE_SIZE = 16 << 20  # bytes in any one file it writes
+
+_LIMITED_EXEC = """\
+import os, resource, sys
+for name, value in zip(("RLIMIT_CPU", "RLIMIT_AS", "RLIMIT_FSIZE"), map(int, sys.argv[1:4])):
+    kind = getattr(resource, name)
+    value = min([value, *(n for n in resource.getrlimit(kind) if n != resource.RLIM_INFINITY)])
+    resource.setrlimit(kind, (value, value))
+os.execvp(sys.argv[4], sys.argv[4:])
+"""
+
+
 class Toolbox:
     """Bound tool implementations plus the action dispatcher.
 
@@ -279,16 +297,19 @@ class Toolbox:
 
         The child gets only a default PATH as its environment and a fresh
         temporary directory, removed afterwards, as its working directory. Its
-        output is discarded, so a chatty snippet cannot grow this process.
+        output is discarded, so a chatty snippet cannot grow this process, and
+        it runs under CPU, address-space and file-size limits.
         Executions contend for a bounded number of sandbox slots (one by
         default), so concurrent claims cannot stack up subprocesses.
         """
         if self.code_executor is None:
             raise ToolError("TOOL_ERROR: code_interpreter is not configured (no code executor)")
+        cpu_s = math.ceil(self.code_timeout_ms / 1000)
+        limits = [str(n) for n in (cpu_s, CODE_ADDRESS_SPACE, CODE_FILE_SIZE)]
         with self._code_slots, tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as cwd:
             try:
                 completed = subprocess.run(
-                    [*self.code_executor, code],
+                    [sys.executable, "-I", "-c", _LIMITED_EXEC, *limits, *self.code_executor, code],
                     stdout=subprocess.DEVNULL,
                     stderr=subprocess.DEVNULL,
                     timeout=self.code_timeout_ms / 1000.0,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leap
+from leap import tools
 from leap.backend import HashingEmbedder, cosine
 from leap.core import Action, Tool
 from leap.errors import RetryExhaustedError, SchemaError, ToolConfigError, ToolError
@@ -318,6 +319,18 @@ class TestCodeInterpreter:
         ok, grown_kb = done.stdout.split()
         assert ok == "True"
         assert int(grown_kb) < 8 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_a_write_past_the_file_size_limit_fails(self, monkeypatch):
+        monkeypatch.setattr(tools, "CODE_FILE_SIZE", 1 << 20, raising=False)
+        toolbox = basic_toolbox()
+        assert toolbox.code_interpreter("head -c 2097152 /dev/zero > big") == (False, "false")
+        assert toolbox.code_interpreter("head -c 524288 /dev/zero > small") == (True, "true")
+
+    def test_child_runs_under_cpu_and_address_space_limits(self):
+        # The shell reports the address space in KiB; the CPU limit is the timeout in whole seconds.
+        toolbox = basic_toolbox(code_timeout_ms=2500)
+        limits = f'test "$(ulimit -t)" = 3 && test "$(ulimit -v)" = {tools.CODE_ADDRESS_SPACE // 1024}'
+        assert toolbox.code_interpreter(limits) == (True, "true")
 
     def test_executor_path_is_resolved_once(self):
         assert Toolbox(code_executor=["sh", "-c"]).code_executor[0] == shutil.which("sh")
