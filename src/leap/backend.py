@@ -66,7 +66,6 @@ class ChatRequest:
     max_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise SchemaError("chat request needs at least one message")
         if not 0.0 <= self.temperature <= 2.0:
@@ -268,7 +267,7 @@ class HashingEmbedder:
         if norm == 0.0:
             counts[0] = 1.0
             norm = 1.0
-        return Embedding(vector=counts / norm, dim=self.dim)
+        return Embedding(vector=counts / norm)
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}

@@ -112,13 +112,15 @@ def _build_backend(config: Config):
     return http, http
 
 
-def _build_toolbox(config: Config, chat, embedder, templates) -> Toolbox:
+def _build_runtime(config: Config) -> Runtime:
+    templates = load_templates(config.paths.prompts_dir)
+    chat, embedder = _build_backend(config)
     search, p = None, config.tools.search_provider
     if p is not None and p.kind == "fixture":
         search = FixtureSearch.from_file(p.path)
     elif p is not None:
         search = HttpSearch(p.url, p.query_param, p.results_field, p.title_field, p.snippet_field)
-    return Toolbox(
+    toolbox = Toolbox(
         search=search,
         embedder=embedder,
         chat=chat,
@@ -130,12 +132,6 @@ def _build_toolbox(config: Config, chat, embedder, templates) -> Toolbox:
         code_timeout_ms=config.tools.code_timeout_ms,
         code_parallelism=config.tools.code_parallelism,
     )
-
-
-def _build_runtime(config: Config) -> Runtime:
-    templates = load_templates(config.paths.prompts_dir)
-    chat, embedder = _build_backend(config)
-    toolbox = _build_toolbox(config, chat, embedder, templates)
     return Runtime(
         chat=chat,
         embedder=embedder,
@@ -252,9 +248,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tool(args) -> int:
     config = load_config(args.config) if args.config else Config()
-    templates = load_templates(config.paths.prompts_dir)
-    chat, embedder = _build_backend(config)
-    toolbox = _build_toolbox(config, chat, embedder, templates)
+    toolbox = _build_runtime(config).toolbox
     tool = TOOL_BY_NAME[args.name]
     # An argument is an integer only where the tool's signature takes one.
     kinds = [kind for _, kind in SIGNATURES[tool].params] + ["str"] * len(args.args)

@@ -151,7 +151,6 @@ class Embedding:
     """
 
     vector: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
         # Each entry is converted once and checked once.
@@ -159,17 +158,21 @@ class Embedding:
             vector = np.array(self.vector, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"embedding entries must be numbers: {exc}") from None
-        if vector.shape != (self.dim,):
-            raise SchemaError(f"embedding has {vector.size} entries, declared dim {self.dim}")
+        if vector.ndim != 1:
+            raise SchemaError(f"embedding must be a 1-D vector, got shape {vector.shape}")
         if not np.isfinite(vector).all():
             raise SchemaError("embedding entries must be finite")
         vector.flags.writeable = False
         object.__setattr__(self, "vector", vector)
 
+    @property
+    def dim(self) -> int:
+        return self.vector.size
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Embedding):
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.vector, other.vector)
+        return np.array_equal(self.vector, other.vector)
 
     def __hash__(self) -> int:
         return hash(tuple(self.vector.tolist()))
@@ -180,7 +183,7 @@ class Embedding:
             vector = np.fromiter(values, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"embedding entries must be numbers: {exc}") from None
-        return cls(vector=vector, dim=vector.size)
+        return cls(vector=vector)
 
     @classmethod
     def rows_of(cls, matrix: np.ndarray) -> list["Embedding"]:
@@ -195,7 +198,6 @@ class Embedding:
         for row in matrix:
             embedding = object.__new__(cls)
             object.__setattr__(embedding, "vector", row)
-            object.__setattr__(embedding, "dim", row.size)
             embeddings.append(embedding)
         return embeddings
 
@@ -430,7 +432,6 @@ class VerificationStrategy(Record):
     revision_of: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", tuple(self.plan))
         if not self.plan:
             raise SchemaError("strategy plan must have at least one step", field="plan")
 
@@ -522,7 +523,6 @@ class Trajectory(Record):
     advantage: AdvantageReport | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
         if self.advantage is not None:
             n = count_tool_calls(self)
             if self.advantage.n_tools != n:
@@ -573,8 +573,6 @@ def trajectory_id(claim_id: str, strategy: VerificationStrategy, steps: Iterable
 
 # --- ReAct surface rendering ------------------------------------------------
 
-_RESERVED_PREFIXES = ("Thought:", "Action:")
-
 
 def render_action(action: Action) -> str:
     """Render an action in the surface grammar: ``tool("arg", 3)``."""
@@ -590,13 +588,10 @@ def render_action(action: Action) -> str:
 def _escape_thought(thought: str) -> str:
     # Continuation lines starting with a reserved prefix would be re-parsed
     # as new turns; indenting them one space keeps the grammar line-oriented.
-    lines = thought.split("\n")
-    out = [lines[0]]
-    for cont in lines[1:]:
-        if cont.startswith(_RESERVED_PREFIXES):
-            cont = " " + cont
-        out.append(cont)
-    return "\n".join(out)
+    return _RESERVED_LINE.sub("\n ", thought)
+
+
+_RESERVED_LINE = re.compile(r"\n(?=Thought:|Action:)")
 
 
 def render_step(step: Step) -> str:

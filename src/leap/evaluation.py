@@ -85,9 +85,10 @@ def load_dataset(path: str | Path, format: str = "native") -> list[Claim]:
 
 def _from_generic(record: Any, record_no: int) -> list[Claim]:
     _check_keys(record, {"query", "response", "label"}, {"id"}, "", None)
+    claim_id = wire_value(str | None, record.get("id"), "id", None)
     return [
         Claim(
-            id=wire_value(str | None, record.get("id"), "id", None) or f"pair-{record_no:06d}",
+            id=f"pair-{record_no:06d}" if claim_id is None else claim_id,
             query=wire_value(str, record["query"], "query", None),
             response=wire_value(str, record["response"], "response", None),
             gold_label=_parse_gold_label(record["label"]),
@@ -246,7 +247,6 @@ class EvalReport(Record):
     per_claim: tuple[PerClaim, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_claim", tuple(self.per_claim))
         if self.positive_class != Label.HALLUCINATION.value:
             raise SchemaError(f"expected {Label.HALLUCINATION.value!r}", field="positive_class")
         total = self.confusion.tp + self.confusion.fp + self.confusion.tn + self.confusion.fn

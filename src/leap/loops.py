@@ -96,7 +96,6 @@ class ExpertDataset:
     records: tuple[ExpertRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
         for record in self.records:
             if record.advantage <= 0:
                 raise SchemaError(

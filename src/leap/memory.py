@@ -143,7 +143,6 @@ class ReflectionRecord(Record):
     embedding: Embedding
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "principles", tuple(self.principles))
         if not self.principles:
             raise SchemaError("reflection needs at least one principle", field="principles")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -99,27 +100,17 @@ def word_count(length: int, text: str) -> tuple[int, bool]:
     return count, count >= length
 
 
-_SENTENCE_ENDS = ".!?"
-
-
 def split_text(text: str) -> list[str]:
     """Split text into sentences on '.', '!', '?' followed by whitespace or end.
 
     Delimiters stay on their sentence; segments are trimmed and empty ones
     dropped. Deliberately naive about abbreviations ("Dr. No" splits).
     """
-    sentences: list[str] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in _SENTENCE_ENDS and (i + 1 == len(text) or text[i + 1].isspace()):
-            segment = text[start : i + 1].strip()
-            if segment:
-                sentences.append(segment)
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    return [s for s in map(str.strip, _SENTENCE_END.split(text)) if s]
+
+
+# The empty match after a sentence's delimiter; ``\s`` is what ``str.isspace`` accepts.
+_SENTENCE_END = re.compile(r"(?<=[.!?])(?=\s|\Z)")
 
 
 class SearchProvider(Protocol):

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from leap.backend import ChatRequest, HashingEmbedder
 from leap.core import Claim, Label, VerificationStrategy
@@ -57,6 +58,22 @@ def make_claim(i: int, gold: Label | None = Label.HALLUCINATION) -> Claim:
         response=f"response text for subject {i}",
         gold_label=gold,
     )
+
+
+# Text for the properties of the two scanners (sentence splitting and thought
+# escaping): sentence ends, the reserved line prefixes and every class of
+# whitespace ``str.isspace`` accepts, mixed with arbitrary characters.
+SCANNER_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [".", "!", "?", "Thought:", "Action:", "\nThought:", "\nAction:", "\nAction", " ",
+             "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+             "\u2028", "\u3000"]
+        ),
+        st.text(max_size=3),
+    ),
+    max_size=24,
+).map("".join)
 
 
 def make_strategy(plan=("search the subject",), revision_of=None) -> VerificationStrategy:

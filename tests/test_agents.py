@@ -19,6 +19,7 @@ from leap.agents import (
     advantage,
     parse_react,
     parse_react_sequence,
+    parse_reflection_text,
     parse_strategy_text,
 )
 from leap.backend import HashingEmbedder
@@ -126,6 +127,33 @@ class TestParseReact:
     def test_sequence_rejects_action_before_any_thought(self):
         with pytest.raises(ReactParseError, match="missing Thought"):
             parse_react_sequence('Action: calculator("1")\nThought: t\nAction: calculator("2")')
+
+
+_STRATEGY = "TYPE: t\nSTRATEGY: s\nPLAN:\n1. go"
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_react, 'Thought: t\nAction: calculator "2+2"', "malformed Action line: 'Action: calculator \"2+2\"'"),
+        (parse_react_sequence, "no turns here\n", "missing Thought line"),
+        (parse_strategy_text, "TYPE:  \nSTRATEGY: s\nPLAN:\n1. go", "TYPE section is empty"),
+        (
+            parse_reflection_text,
+            f"DIAGNOSIS:\nPRINCIPLES:\n1. p\nREVISED_STRATEGY:\n{_STRATEGY}",
+            "DIAGNOSIS section is empty",
+        ),
+        (
+            parse_reflection_text,
+            f"DIAGNOSIS: d\nPRINCIPLES:\nbe careful\nREVISED_STRATEGY:\n{_STRATEGY}",
+            "PRINCIPLES section has no numbered items",
+        ),
+    ],
+)
+def test_grammar_rejections_name_the_fault(parse, text, message):
+    with pytest.raises(ReactParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
 
 
 # The hand-written argument scanner that the token pattern replaced, verbatim:

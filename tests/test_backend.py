@@ -64,6 +64,14 @@ class TestChatRequest:
                 system_prompt="", messages=(ChatMessage("user", "x"),), temperature=1.0, top_p=top_p
             )
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_max_tokens_must_be_positive(self, max_tokens):
+        with pytest.raises(SchemaError, match="^max_tokens must be positive$"):
+            ChatRequest(
+                system_prompt="", messages=(ChatMessage("user", "x"),), temperature=1.0,
+                max_tokens=max_tokens,
+            )
+
     def test_rejects_unknown_role(self):
         with pytest.raises(SchemaError):
             ChatMessage("system", "x")
@@ -315,6 +323,11 @@ class TestHashingEmbedder:
         assert len(vector) == 24
         assert sum(v * v for v in vector) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dimension_must_be_positive(self, dim):
+        with pytest.raises(SchemaError, match="^embedder dim must be positive$"):
+            HashingEmbedder(dim)
+
     def test_empty_text_rejected(self):
         with pytest.raises(SchemaError, match="^cannot embed empty text$"):
             HashingEmbedder(dim=8).embed("")
@@ -432,26 +445,37 @@ class TestDistances:
     def test_dim_mismatch(self):
         with pytest.raises(SchemaError):
             euclidean(Embedding.of([1.0]), Embedding.of([1.0, 2.0]))
+        with pytest.raises(SchemaError, match="^dimension mismatch: 1 vs 2$"):
+            cosine(Embedding.of([1.0]), Embedding.of([1.0, 2.0]))
 
     def test_cosine_identity_and_orthogonal(self):
         a = Embedding.of([1.0, 0.0])
         b = Embedding.of([0.0, 2.0])
         assert cosine(a, a) == pytest.approx(1.0)
         assert cosine(a, b) == 0.0
+        assert cosine(a, Embedding.of([0.0, 0.0])) == cosine(Embedding.of([0.0, 0.0]), a) == 0.0
 
     def test_embedding_validates_entries(self):
         with pytest.raises(SchemaError):
             Embedding.of([float("nan")])
-        with pytest.raises(SchemaError):
-            Embedding(vector=(1.0, 2.0), dim=3)
+        for vector in (1.0, [[1.0, 2.0]], np.zeros((2, 0))):
+            with pytest.raises(SchemaError, match="^embedding must be a 1-D vector, got shape "):
+                Embedding(vector)
 
     def test_embedding_rejects_entries_that_are_not_numbers(self):
         for values in (["x"], [[1.0, 2.0]], [{}]):
             with pytest.raises(SchemaError, match="entries must be numbers"):
                 Embedding.of(values)
+        for vector in (["x"], [{}], [[1.0], [2.0, 3.0]]):
+            with pytest.raises(SchemaError, match="^embedding entries must be numbers: "):
+                Embedding(vector)
+
+    def test_dim_is_the_vector_length(self):
+        assert Embedding((0.5, 1.0, 2.0)).dim == 3
+        assert Embedding.of([]).dim == 0
 
     def test_equal_embeddings_hash_alike(self):
-        a, b = Embedding.of([0.0, 1.5]), Embedding((-0.0, 1.5), 2)
+        a, b = Embedding.of([0.0, 1.5]), Embedding((-0.0, 1.5))
         assert a == b and hash(a) == hash(b)
         assert a != Embedding.of([0.0, 1.25]) and a != (0.0, 1.5)
         assert len({a, b, Embedding.of([1.0])}) == 2
@@ -527,6 +551,32 @@ class TestHttpBackend:
             backend = HttpBackend(base_url=url, model="m", embed_model="e", embed_dim=3)
             with pytest.raises(ProviderError, match="dim"):
                 backend.embed("abc")
+
+    def test_empty_text_is_not_sent(self):
+        backend = HttpBackend(base_url=refused_url(), model="m", embed_model="e", retries=0)
+        with pytest.raises(SchemaError, match="^cannot embed empty text$"):
+            backend.embed("")
+
+    def test_malformed_embedding_response(self):
+        with stub_http_server([(200, {"data": []})]) as (url, _):
+            backend = HttpBackend(base_url=url, model="m", embed_model="e")
+            with pytest.raises(ProviderError, match=r"^malformed embedding response: IndexError"):
+                backend.embed("abc")
+
+    def test_body_that_is_not_json(self):
+        class Response:
+            status_code, text = 200, "<html>busy</html>"
+
+            def json(self):
+                return json.loads(self.text)
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return Response()
+
+        backend = HttpBackend(base_url="http://unused", model="m", session=Session())
+        with pytest.raises(ProviderError, match="^provider returned invalid JSON: Expecting value"):
+            backend.complete(req("x"))
 
     def test_malformed_chat_response(self):
         with stub_http_server([(200, {"choices": []})]) as (url, _):

@@ -78,6 +78,10 @@ class TestErrors:
         with pytest.raises(CalculatorError):
             evaluate("10^10^10")
 
+    def test_a_literal_past_float_range_is_not_a_finite_result(self):
+        with pytest.raises(CalculatorError, match="^result is not finite$"):
+            evaluate("9" * 400)
+
     def test_remainder_of_a_literal_past_float_range_is_math_error(self):
         # The literal reads as inf, and math.fmod(inf, 2) raises ValueError.
         with pytest.raises(CalculatorError, match="^remainder is not a finite real"):

@@ -90,6 +90,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             config_from_dict({section: {key: value}})
 
+    def test_file_that_is_not_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("backend = {}\n")
+        with pytest.raises(ConfigError, match=r"^config .*config\.json is not valid JSON: Expecting value$"):
+            load_config(path)
+
     def test_bad_search_provider(self):
         with pytest.raises(ConfigError, match="search_provider"):
             config_from_dict({"tools": {"search_provider": {"kind": "dns"}}})
@@ -607,6 +613,11 @@ class TestExitCodes:
              "--out", str(tmp_path / "v.jsonl")]
         )
         assert code == 1
+
+    def test_unknown_backend_override_is_validation_error(self, workspace, monkeypatch, capsys):
+        monkeypatch.setenv("LEAP_BACKEND", "bogus")
+        assert main(["tool", "calculator", "1", "--config", workspace.config]) == 1
+        assert capsys.readouterr().err == "error: unsupported LEAP_BACKEND value: 'bogus'\n"
 
     def test_missing_fixture_file_is_runtime_error(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setenv("LEAP_BACKEND", f"scripted:{tmp_path / 'absent.jsonl'}")

@@ -65,7 +65,7 @@ def test_codec_writes_the_golden_lines(name):
         (str | int, 7, 7),
         (Label, "NotHallucination", Label.NOT_HALLUCINATION),
         (tuple[str, ...], ["a", "b"], ("a", "b")),
-        (Embedding, Embedding((1.0, 0.5), 2), Embedding((1.0, 0.5), 2)),  # passed through
+        (Embedding, Embedding((1.0, 0.5)), Embedding((1.0, 0.5))),  # passed through
         (Verdict | None, {"label": "Hallucination"}, Verdict(Label.HALLUCINATION)),
     ],
 )
@@ -311,6 +311,41 @@ def test_generated_decoder_agrees_with_the_field_by_field_decoder(case):
     cls, line_no, obj = case
     want = _outcome(lambda: _reference_codec(cls).decode(_copy(obj), "", line_no))
     assert _outcome(lambda: cls.from_dict(_copy(obj), line=line_no)) == want
+
+
+def _assert_tuples_and_hashable(record: Any) -> None:
+    """Every sequence field of the record, and of each record nested in it, holds a tuple."""
+    hints = get_type_hints(type(record))
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if get_origin(hints[f.name]) is tuple:
+            assert type(value) is tuple, f.name
+        for item in value if type(value) is tuple else (value,):
+            if isinstance(item, Record):
+                _assert_tuples_and_hashable(item)
+    if type(record) is not ScriptEntry:
+        hash(record)
+
+
+def test_every_record_type_but_a_script_entry_is_frozen():
+    mutable = {cls for cls in Record.__subclasses__() if not cls.__dataclass_params__.frozen}
+    assert mutable == {ScriptEntry}
+
+
+@pytest.mark.parametrize("cls,line_no,text", _GOLDEN_LINES, ids=lambda v: getattr(v, "__name__", None))
+def test_golden_records_hold_tuples_and_are_hashable(cls, line_no, text):
+    _assert_tuples_and_hashable(cls.from_dict(_wire_object(text), line=line_no))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_wire_objects())
+def test_decoded_records_hold_tuples_and_are_hashable(case):
+    cls, line_no, obj = case
+    try:
+        record = cls.from_dict(obj, line=line_no)
+    except SchemaError:
+        return
+    _assert_tuples_and_hashable(record)
 
 
 def test_an_int_for_a_float_field_is_widened_and_a_bool_is_not_a_number():

@@ -25,13 +25,15 @@ from leap.core import (
     load_trajectories,
     parse_verdict_label,
     read_lines,
+    render_action,
+    render_step,
     serialize,
     write_claims,
     write_trajectories,
 )
 from leap.errors import IncompleteTrajectoryError, SchemaError, StorageError
 
-from conftest import make_claim, make_strategy
+from conftest import SCANNER_TEXT, make_claim, make_strategy
 
 
 def make_steps():
@@ -130,6 +132,30 @@ class TestLinearize:
         trajectory = make_trajectory(steps=steps)
         pairs = parse_react_sequence(linearize_target(trajectory))
         assert pairs == [(s.thought, s.action) for s in steps]
+
+    @settings(max_examples=500)
+    @given(st.one_of(SCANNER_TEXT, st.text(max_size=40)), st.lists(arg_values(), max_size=2))
+    def test_pattern_escapes_thoughts_as_the_line_loop(self, thought, args):
+        step = Step(thought, Action(Tool.WEB_SEARCH, tuple(args)))
+        assert render_step(step) == _loop_render_step(step)
+
+
+_RESERVED_PREFIXES = ("Thought:", "Action:")
+
+
+def _loop_escape_thought(thought: str) -> str:
+    """The thought escaping as a loop over lines, the form it had before it used ``re``."""
+    lines = thought.split("\n")
+    out = [lines[0]]
+    for cont in lines[1:]:
+        if cont.startswith(_RESERVED_PREFIXES):
+            cont = " " + cont
+        out.append(cont)
+    return "\n".join(out)
+
+
+def _loop_render_step(step: Step) -> str:
+    return f"Thought: {_loop_escape_thought(step.thought)}\nAction: {render_action(step.action)}\n"
 
 
 class TestVerdictText:
@@ -288,6 +314,22 @@ class TestInvariants:
     def test_claim_requires_nonblank_text(self):
         with pytest.raises(SchemaError, match="query"):
             Claim(id="x", query="   ", response="r")
+        with pytest.raises(SchemaError, match=r"^claim response must be non-empty \(field: response\)$"):
+            Claim(id="x", query="q", response="\n\t")
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"v_next": float("nan")}, r"^v_next must be finite \(field: v_next\)$"),
+            ({"lam": float("inf")}, r"^lam must be finite \(field: lam\)$"),
+            ({"n_tools": -1}, r"^n_tools must be non-negative \(field: n_tools\)$"),
+        ],
+    )
+    def test_advantage_report_terms_are_checked(self, change, message):
+        terms = dict(r_terminal=1.0, gamma=0.9, v_next=0.5, v_curr=0.2, lam=0.1, n_tools=1)
+        terms.update(change)
+        with pytest.raises(SchemaError, match=message):
+            AdvantageReport(**terms, advantage=1.0)
 
     def test_strategy_requires_plan(self):
         with pytest.raises(SchemaError, match="plan"):

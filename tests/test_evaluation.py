@@ -70,12 +70,19 @@ class TestGenericPairs:
             ({"id": 7, "query": "q", "response": "r", "label": "faithful"}, "field: id"),
             ({"query": "q", "response": "r", "label": True}, "field: label"),
             (["q", "r", "faithful"], "expected an object"),
+            ({"id": "", "query": "q", "response": "r", "label": "faithful"},
+             r"claim id must be non-empty \(field: id\)$"),
         ],
     )
     def test_field_types_are_checked(self, tmp_path, record, message):
         path = write_jsonl(tmp_path / "d.jsonl", [{"query": "q", "response": "r", "label": "faithful"}, record])
         with pytest.raises(DatasetFormatError, match=f"record 2: .*{message}"):
             load_dataset(path, "generic_pairs")
+
+    def test_an_absent_or_null_id_is_the_record_number(self, tmp_path):
+        pair = {"query": "q", "response": "r", "label": "faithful"}
+        path = write_jsonl(tmp_path / "d.jsonl", [pair, {**pair, "id": None}, {**pair, "id": "x"}])
+        assert [c.id for c in load_dataset(path, "generic_pairs")] == ["pair-000001", "pair-000002", "x"]
 
     def test_invalid_json_names_the_record(self, tmp_path):
         path = tmp_path / "d.jsonl"

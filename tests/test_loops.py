@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,10 @@ class TestDetect:
         make_runtime(FakeChat(replies)).detect(claim, memories, online_memory=True)
         assert len(memories.reflections) == 1
 
+    def test_empty_batch(self):
+        with pytest.raises(SchemaError, match="^empty dataset$"):
+            make_runtime(FakeChat([])).run_detection([], fresh_memories())
+
     def test_batch_records_failures_and_continues(self, tmp_path):
         claims = [make_claim(i, gold=None) for i in range(3)]
         entries = []
@@ -529,6 +534,19 @@ class TestCurate:
         with pytest.raises(CurationError, match=trajectory.id):
             curate([trajectory], {claim.id: claim})
 
+    def test_missing_verdict_names_the_trajectory(self):
+        claim = make_claim(1)
+        trajectory = replace(finished_trajectory(claim, 0.5, correct=True), verdict=None)
+        with pytest.raises(CurationError, match=f"^trajectory {trajectory.id} has no verdict$"):
+            curate([trajectory], {claim.id: claim})
+
+    def test_claim_without_gold_label(self):
+        claim = make_claim(1)
+        trajectory = finished_trajectory(claim, 0.5, correct=True)
+        unlabeled = replace(claim, gold_label=None)
+        with pytest.raises(CurationError, match=f"^claim {claim.id} has no gold label$"):
+            curate([trajectory], {claim.id: unlabeled})
+
     def test_unknown_claim(self):
         claim = make_claim(1)
         with pytest.raises(CurationError, match="unknown claim"):
@@ -554,6 +572,18 @@ class TestCurate:
                     ),
                 )
             )
+
+    def test_dataset_rejects_a_wrong_verdict(self):
+        claim = make_claim(1)
+        record = ExpertRecord(
+            claim=claim,
+            target="Thought: t\nAction: get_answer(\"Not Hallucination\")\n",
+            advantage=0.5,
+            verdict=Label.NOT_HALLUCINATION,
+            gold=Label.HALLUCINATION,
+        )
+        with pytest.raises(SchemaError, match=f"^expert record for claim {claim.id} has a wrong verdict$"):
+            ExpertDataset(records=(record,))
 
 
 class TestExportSft:

@@ -586,6 +586,12 @@ class TestPersistence:
         with pytest.raises(StorageError):
             MemoryStore.load(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_names_the_missing_header(self, tmp_path, text):
+        path = tmp_path / "values.jsonl"
+        path.write_text(text)
+        self._load_fails(path, r"^line 1: store file is empty \(missing header\)$")
+
     def test_truncated_line_names_line_number(self, tmp_path):
         store = MemoryStore("value", DIM)
         store.insert(value_sample(0, Embedding.of([0.0] * DIM)))
@@ -717,6 +723,18 @@ class TestPersistence:
         header, *lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(header) | changes
         path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+
+    def test_fewer_lines_than_the_header_count_fail(self, tmp_path):
+        path, _ = self._persisted(tmp_path)
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]))
+        self._load_fails(path, r"^line 1: header declares 3 records, file holds 2 \(field: count\)$")
+
+    def test_unreadable_matrix_is_a_storage_error(self, tmp_path):
+        path, matrix = self._persisted(tmp_path)
+        matrix.unlink()
+        matrix.mkdir()
+        with pytest.raises(StorageError, match=r"^cannot read .*values\.npy: "):
+            MemoryStore.load(path)
 
     def test_torn_pair_fails(self, tmp_path):
         # Two persists with the same count: one's matrix beside the other's lines.
@@ -914,6 +932,14 @@ class TestPersistence:
         assert len(loaded.precedents) == 1
         assert len(loaded.reflections) == 1
         assert loaded.reflections.records()[0].principles == ("be precise",)
+
+    def test_store_of_another_kind_fails_and_names_both(self, tmp_path):
+        Memories.fresh(DIM).persist(tmp_path)
+        MemoryStore("value", DIM).persist(tmp_path / "reflections.jsonl")
+        with pytest.raises(
+            SchemaError, match=r"^reflections\.jsonl holds kind 'value', expected 'reflection'$"
+        ):
+            Memories.load(tmp_path)
 
     def test_load_or_fresh_takes_the_configured_cap(self, tmp_path):
         Memories.fresh(DIM, cap=1400).persist(tmp_path / "empty")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from leap.tools import (
     word_count,
 )
 
-from conftest import FakeChat, StubEmbedder, refused_url, stub_http_server
+from conftest import SCANNER_TEXT, FakeChat, StubEmbedder, refused_url, stub_http_server
 
 
 def basic_toolbox(**kwargs):
@@ -107,6 +108,34 @@ class TestSplitText:
         joined = "".join(split_text(text))
         assert "".join(joined.split()) == "".join(text.split())
 
+    @settings(max_examples=500)
+    @given(st.one_of(SCANNER_TEXT, st.text(max_size=40)))
+    def test_pattern_splits_as_the_character_loop(self, text):
+        assert split_text(text) == _loop_split_text(text)
+
+    def test_the_pattern_whitespace_is_what_isspace_accepts(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+_SENTENCE_ENDS = ".!?"
+
+
+def _loop_split_text(text: str) -> list[str]:
+    """split_text as a character loop, the form it had before it used ``re``."""
+    sentences: list[str] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in _SENTENCE_ENDS and (i + 1 == len(text) or text[i + 1].isspace()):
+            segment = text[start : i + 1].strip()
+            if segment:
+                sentences.append(segment)
+            start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
 
 class TestMatch:
     def test_identity_sentence_matches(self):
@@ -126,6 +155,10 @@ class TestMatch:
         assert similarity == pytest.approx(0.6396, abs=1e-3)
         toolbox = basic_toolbox(match_threshold=0.5)
         assert toolbox.match("kangaroos hop", "kangaroo hopping") is True
+
+    def test_unknown_match_mode_fails_at_construction(self):
+        with pytest.raises(ToolConfigError, match=r"^unknown match mode: 'fuzzy'$"):
+            Toolbox(match_mode="fuzzy")
 
     def test_llm_mode_parses_yes_no(self):
         templates = load_templates()
@@ -193,6 +226,12 @@ class TestWebSearch:
             provider = HttpSearch(url=url + "/search")
             text = provider.search("anything", 3)
         assert text == "[1] T0 — S0\n[2] T1 — S1\n[3] T2 — S2"
+
+    def test_http_provider_without_results_becomes_search_error(self):
+        with stub_http_server([(200, {"results": []})]) as (url, _):
+            toolbox = basic_toolbox(search=HttpSearch(url=url + "/search"))
+            result = toolbox.dispatch(Action(Tool.WEB_SEARCH, ("q",)))
+        assert (result.success, result.observation_text) == (False, "SEARCH_ERROR: no results")
 
     def test_http_provider_error_becomes_search_error(self):
         with stub_http_server([(500, {})]) as (url, _):
@@ -274,6 +313,10 @@ class TestCodeInterpreter:
         assert result is False
         assert observation == "TIMEOUT"
         assert abs(elapsed - 0.1) <= 0.1
+
+    def test_empty_executor_fails_at_construction(self):
+        with pytest.raises(ToolConfigError, match="^code executor command is empty$"):
+            Toolbox(code_executor=[])
 
     def test_missing_executor_fails_at_construction(self):
         with pytest.raises(ToolConfigError, match="not found"):
